@@ -14,7 +14,12 @@ from fractions import Fraction
 from math import gcd
 
 from .cvform import CvForm
-from .laplace import characteristic_monomial, diagonal_rowblock, evaluate
+from .laplace import (
+    _integer_value,
+    characteristic_monomial,
+    diagonal_rowblock,
+    evaluate,
+)
 from .poly import Polynomial, _term_key
 from .ribbon import (
     SkewTableau,
@@ -148,7 +153,8 @@ def fraction_free_rank(rows: list[list[int]]) -> int:
 
     Columns are scanned left to right; the pivot is the first row with a
     nonzero entry in the current column.  Updates divide by the previous
-    pivot, which is always exact (the entries stay minors of the input).
+    pivot, which is exact because the entries stay minors of the input;
+    a nonzero remainder would mean a broken invariant and raises.
     """
     m = [row[:] for row in rows]
     if not m:
@@ -168,7 +174,9 @@ def fraction_free_rank(rows: list[list[int]]) -> int:
             row = m[r]
             lead = m[top]
             for c in range(col + 1, ncols):
-                row[c] = (pivot * row[c] - factor * lead[c]) // prev
+                row[c], rem = divmod(pivot * row[c] - factor * lead[c], prev)
+                if rem:
+                    raise ArithmeticError(f"inexact division by {prev} at column {c}")
             row[col] = 0
         prev = pivot
         rank += 1
@@ -178,13 +186,63 @@ def fraction_free_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+# the Mersenne prime 2^61 - 1; full rank mod it proves full rank over Q
+_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank of sparse integer rows over the field of ``_PRIME`` elements.
+
+    Each row is reduced against the pivot rows in the order they were
+    found; every pivot row is normalized to 1 at its own column and is
+    zero at the columns of all earlier pivots, so one pass clears them all.
+    A reduced row pivots at its first remaining column.  Rows are taken
+    longest first; any order gives the same rank, but for basis forms the
+    first column is a leading monomial, and in this order few rows meet
+    an earlier pivot column (the N=7 slices take 4 s instead of 22 s).
+    """
+    pivots: dict = {}
+    for row in sorted(rows, key=len, reverse=True):
+        r = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
+        for col, prow in pivots.items():
+            f = r.get(col)
+            if f:
+                for c, v in prow.items():
+                    x = (r.get(c, 0) - f * v) % _PRIME
+                    if x:
+                        r[c] = x
+                    else:
+                        del r[c]
+        if r:
+            col = next(iter(r))
+            inv = pow(r[col], -1, _PRIME)
+            pivots[col] = {c: v * inv % _PRIME for c, v in r.items()}
+    return len(pivots)
+
+
+def _certified_rank(rows) -> int:
+    """Exact rank over Q of sparse integer rows (dicts column -> entry).
+
+    Full rank mod ``_PRIME`` proves full rank over Q: a nonzero maximal
+    minor mod p is a nonzero integer.  A deficiency mod p proves nothing,
+    so those rows are decided by exact fraction-free elimination.
+    """
+    rows = list(rows)
+    if _rank_mod_p(rows) == len(rows):
+        return len(rows)
+    columns = sorted({c for r in rows for c in r})
+    return fraction_free_rank([[r.get(c, 0) for c in columns] for r in rows])
+
+
 def verify_independence(basis: Basis) -> tuple[int, bool]:
     """Exact rank of the fully expanded basis.
 
     Monomials of different total degree never meet, so the coefficient
     matrix is block diagonal over the graded slices and the slice ranks
-    add up to the full rank.  Returns (rank, rank == number of forms);
-    duplicate forms are detected up front since they cap the rank.
+    add up to the full rank.  Each form enters as its integer numerators;
+    the common denominator only scales the row.  Returns (rank, rank ==
+    number of forms); duplicate forms are detected up front since they
+    cap the rank.
     """
     forms = [bf.form for bf in basis.forms]
     duplicates = len(set(forms)) < len(forms)
@@ -200,8 +258,7 @@ def verify_independence(basis: Basis) -> tuple[int, bool]:
                 if f not in seen:
                     seen.append(f)
             slice_forms = seen
-        matrix = coefficient_matrix(evaluate(f) for f in slice_forms)
-        rank += fraction_free_rank(_integer_rows(matrix))
+        rank += _certified_rank(_integer_value(f)[0] for f in slice_forms)
     return rank, not duplicates and rank == len(forms)
 
 
@@ -219,7 +276,7 @@ def leading_rank(basis: Basis) -> int:
             rb = diagonal_rowblock(f)
             polys.append(rowblock_value(rb, BlockFactorization(rb.var_partition, f.N)))
         matrix = coefficient_matrix(polys)
-        rank += fraction_free_rank(_integer_rows(matrix))
+        rank += _certified_rank(dict(enumerate(row)) for row in _integer_rows(matrix))
     return rank
 
 

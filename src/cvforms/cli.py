@@ -14,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -394,6 +395,13 @@ def _harmonic_check(task: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...],
     return entries, verify_harmonicity(CvForm(entries), kmax)["ok"]
 
 
+def _worker_count(jobs: int) -> int:
+    """Validated ``--jobs``: at least 1, at most the number of CPUs."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _run_tasks(worker, tasks, jobs: int):
     if jobs <= 1:
         return [worker(t) for t in tasks]
@@ -422,6 +430,7 @@ def _verify_payload(args, suite: str, lines: list[str], checks: dict, ok: bool) 
 def cmd_verify(args) -> int:
     n = args.n
     suite = args.suite
+    jobs = _worker_count(args.jobs)
     if suite == "oracle":
         if n <= 4:
             forms = [tuple(e) for e in itertools.product(range(n), repeat=n)]
@@ -430,7 +439,7 @@ def cmd_verify(args) -> int:
             rng = random.Random(args.seed)
             forms = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(args.samples)]
             source = f"{args.samples} seeded samples (seed {args.seed})"
-        results = _run_tasks(_oracle_check, forms, args.jobs)
+        results = _run_tasks(_oracle_check, forms, jobs)
         bad = [e for e, ok in results if not ok]
         lines = [
             f"suite: oracle n={n} ({source})",
@@ -461,7 +470,7 @@ def cmd_verify(args) -> int:
         kmax = args.kmax if args.kmax is not None else n - 1
         basis = generate_basis(n)
         tasks = [(bf.form.entries, kmax) for bf in basis.forms]
-        results = _run_tasks(_harmonic_check, tasks, args.jobs)
+        results = _run_tasks(_harmonic_check, tasks, jobs)
         bad = [e for e, ok in results if not ok]
         lines = [
             f"suite: harmonic n={n} kmax={kmax}",

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 from .cvform import CvForm, permutation_sign, valid_class
 from .poly import Polynomial
@@ -140,6 +140,15 @@ class BlockFactorization:
     nvars: int
 
 
+def _order_key(entries: tuple[int, ...], size: int) -> tuple:
+    # sort key of the row-block order: the counts of the values 0..size-1,
+    # negated, then the flattened entries themselves
+    counts = [0] * size
+    for v in entries:
+        counts[v] += 1
+    return tuple(-c for c in counts), entries
+
+
 def compare_rowblocks(a: RowBlock, b: RowBlock) -> int:
     """Row-block order; returns -1, 0 or 1.
 
@@ -150,21 +159,9 @@ def compare_rowblocks(a: RowBlock, b: RowBlock) -> int:
     ea, eb = a.entries(), b.entries()
     if len(ea) != len(eb):
         raise ValueError("row-blocks come from expansions of different sizes")
-    top = max(max(ea), max(eb))
-    ca = [0] * (top + 1)
-    cb = [0] * (top + 1)
-    for v in ea:
-        ca[v] += 1
-    for v in eb:
-        cb[v] += 1
-    for v in range(top + 1):
-        if ca[v] != cb[v]:
-            return 1 if ca[v] < cb[v] else -1
-    if ea > eb:
-        return 1
-    if ea < eb:
-        return -1
-    return 0
+    size = max(max(ea), max(eb)) + 1
+    ka, kb = _order_key(ea, size), _order_key(eb, size)
+    return (ka > kb) - (ka < kb)
 
 
 def _constant_rowblock(form: CvForm, sign: int) -> tuple[BlockFactorization, list[RowBlock]]:
@@ -212,7 +209,8 @@ def expand_rowblocks(form: CvForm) -> tuple[BlockFactorization, list[RowBlock]]:
             rec(rest, picked + list(combo), powers + [run], j + 1)
 
     rec(list(range(1, n + 1)), [], [], 0)
-    terms.sort(key=cmp_to_key(compare_rowblocks), reverse=True)
+    # powers never exceed n - 1
+    terms.sort(key=lambda rb: _order_key(rb.entries(), n), reverse=True)
     return factor, terms
 
 
@@ -252,14 +250,58 @@ def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
     return value
 
 
+def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
+    """Value of a form as ``(numerators, D)``: integer coefficients over D.
+
+    D is the lcm of the row-blocks' ``prod p!``, so a row-block adds
+    ``total_sign * D/prod p! * sign(sigma)`` at each exponent vector its
+    alternants produce.  The blocks act on disjoint variables, so those
+    vectors are concatenations of one power arrangement per block; they
+    are keyed in block order while summing and put in variable order once
+    at the end.  No Polynomial or Fraction arithmetic is involved.
+    """
+    factor, terms = expand_rowblocks(form)
+    nvars = form.N
+    fact = [math.factorial(p) for p in range(nvars)]
+    denoms = [math.prod(fact[p] for p in rb.entries()) for rb in terms]
+    common = math.lcm(*denoms)
+    # block size m -> every (sigma, sign(sigma)); block powers -> every
+    # (powers[sigma[0]], ..., powers[sigma[m-1]]) with sign(sigma)
+    signed_perms: dict[int, list] = {}
+    arrangements: dict[tuple[int, ...], list] = {}
+    acc: dict[tuple[int, ...], int] = {}
+    for rb, d in zip(terms, denoms):
+        partial = [((), rb.total_sign * (common // d))]
+        for powers in rb.blocks:
+            table = arrangements.get(powers)
+            if table is None:
+                m = len(powers)
+                if m not in signed_perms:
+                    signed_perms[m] = [
+                        (sigma, permutation_sign(sigma)) for sigma in itertools.permutations(range(m))
+                    ]
+                table = arrangements[powers] = [
+                    (tuple(powers[i] for i in sigma), sign) for sigma, sign in signed_perms[m]
+                ]
+            partial = [(head + tail, c * s) for head, c in partial for tail, s in table]
+        for key, c in partial:
+            acc[key] = acc.get(key, 0) + c
+    position = [0] * nvars
+    for k, v in enumerate(v for blk in factor.vandermonde_blocks for v in blk):
+        position[v - 1] = k
+    # always the case for N=1, where itemgetter would not return a tuple
+    if position == list(range(nvars)):
+        return {key: c for key, c in acc.items() if c}, common
+    from operator import itemgetter
+
+    reorder = itemgetter(*position)
+    return {reorder(key): c for key, c in acc.items() if c}, common
+
+
 def evaluate(form: CvForm) -> Polynomial:
     """Exact polynomial value of a form via the block expansion."""
-    factor, terms = expand_rowblocks(form)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for rb in terms:
-        for exps, coeff in rowblock_value(rb, factor).terms.items():
-            acc[exps] = acc.get(exps, Fraction(0)) + rb.total_sign * coeff
-    return Polynomial(form.N, acc)
+    numerators, denom = _integer_value(form)
+    return Polynomial(form.N, {e: Fraction(c, denom) for e, c in numerators.items()})
 
 
 def naive_oracle(form: CvForm) -> Polynomial:

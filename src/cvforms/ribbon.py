@@ -188,8 +188,14 @@ class SkewTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewTableau":
-        boxes = tuple(tuple(b) for b in data["boxes"])
-        return cls(Ribbon(boxes), tuple(data["filling"]))
+        """Inverse of ``to_json_dict``; malformed data raises ValueError."""
+        try:
+            boxes = tuple(tuple(b) for b in data["boxes"])
+            return cls(Ribbon(boxes), tuple(data["filling"]))
+        except KeyError as exc:
+            raise ValueError(f"tableau JSON lacks the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed tableau JSON: {exc}") from None
 
 
 def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:

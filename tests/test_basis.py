@@ -4,9 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvforms.basis as basis_module
 from cvforms import (
     Basis,
+    BasisForm,
     CvForm,
     Polynomial,
     backward_order,
@@ -23,6 +27,8 @@ from cvforms import (
     verify_harmonicity,
     verify_independence,
 )
+from cvforms.basis import _PRIME, _certified_rank, _rank_mod_p
+from cvforms.laplace import _integer_value
 
 
 class TestQFactorial:
@@ -156,6 +162,71 @@ class TestRankMachinery:
         assert matrix.rows[1] == (Fraction(-1), Fraction(1))
 
 
+def _fraction_rank(rows) -> int:
+    """Rank by plain Gaussian elimination over Fraction."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestCertifiedRank:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), min_size=1, max_size=5
+            )
+        )
+    )
+    def test_fraction_free_rank_matches_fraction_elimination(self, rows):
+        assert fraction_free_rank(rows) == _fraction_rank(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=5))
+    def test_certified_rank_matches_fraction_elimination(self, rows):
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        assert _certified_rank(sparse) == _fraction_rank(rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_certificate_agrees_with_bareiss_on_every_slice(self, n):
+        for d in range(len(q_factorial(n))):
+            rows = [_integer_value(bf.form)[0] for bf in generate_basis(n, d).forms]
+            columns = sorted({c for r in rows for c in r})
+            dense = [[r.get(c, 0) for c in columns] for r in rows]
+            assert _rank_mod_p(rows) == fraction_free_rank(dense) == len(rows)
+
+    @pytest.mark.parametrize(
+        "rows, exact",
+        [([[_PRIME]], 1), ([[1, 1], [1, 1 + _PRIME]], 2), ([[2, 4], [1, 2]], 1)],
+    )
+    def test_deficiency_mod_p_falls_back_to_exact_rank(self, rows, exact, monkeypatch):
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        assert _rank_mod_p(sparse) < len(rows)
+        calls = []
+
+        def spy(dense):
+            calls.append(dense)
+            return fraction_free_rank(dense)
+
+        monkeypatch.setattr(basis_module, "fraction_free_rank", spy)
+        assert _certified_rank(sparse) == exact
+        assert calls == [rows]
+
+    def test_full_rank_mod_p_skips_elimination(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "fraction_free_rank", None)
+        assert _certified_rank([{0: 1, 1: 1}, {0: 1, 1: 2}]) == 2
+        assert _certified_rank([]) == 0
+
+
 class TestIndependence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_rank(self, n):
@@ -185,6 +256,9 @@ class TestIndependence:
         from cvforms.basis import _integer_rows
 
         assert fraction_free_rank(_integer_rows(matrix)) == 3
+        assert _certified_rank(_integer_value(f)[0] for f in forms) == 3
+        basis = Basis(4, 5, backward_order(4), tuple(BasisForm(f, None) for f in forms))
+        assert verify_independence(basis) == (3, False)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_leading_rank_full(self, n):

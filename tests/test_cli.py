@@ -265,6 +265,23 @@ class TestVerify:
         assert code == 0
         assert "forms checked: 6" in out
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exits_two(self, jobs, capsys):
+        code, out, err = run(["verify", "3", "oracle", "--jobs", jobs], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._worker_count(1) == 1
+        assert cli._worker_count(4) == 4
+        assert cli._worker_count(10**6) == 4
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count(8) == 1
+        with pytest.raises(ValueError):
+            cli._worker_count(0)
+
 
 class TestFlipCommand:
     def test_form_input(self, capsys):
@@ -294,6 +311,22 @@ class TestFlipCommand:
     def test_non_standard_form(self, capsys):
         code, _, err = run(["flip", "[2 2 3 3]"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"boxes": [[0,0]]}',
+            '{"filling": [1]}',
+            '{"boxes": 5, "filling": [1]}',
+            '{"boxes": [null], "filling": [1]}',
+            '{"boxes": [[0,0],[0,1]], "filling": [1, "2"]}',
+        ],
+    )
+    def test_malformed_tableau_json_exits_two(self, text, capsys):
+        code, out, err = run(["flip", text], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBench:

@@ -27,6 +27,7 @@ from cvforms import (
     rowblock_value,
     shuffles,
 )
+from cvforms.laplace import _integer_value
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
@@ -263,6 +264,26 @@ class TestOracleAgreement:
         for _ in range(12):
             f = CvForm(tuple(rng.randrange(5) for _ in range(5)))
             assert evaluate(f) == naive_oracle(f) == leibniz_det(f)
+
+
+class TestIntegerKernel:
+    def test_exhaustive_four_against_both_oracles(self):
+        for entries in itertools.product(range(4), repeat=4):
+            f = CvForm(entries)
+            numerators, denom = _integer_value(f)
+            assert all(isinstance(c, int) and c for c in numerators.values())
+            value = Polynomial(4, {e: Fraction(c, denom) for e, c in numerators.items()})
+            assert value == naive_oracle(f) == derivative_oracle(f)
+
+    def test_denominator_is_lcm_of_rowblock_factorials(self):
+        # [2 2 3 3] has row-blocks +|2 1|1 0|, -|2 0|2 0| and +|1 0|3 0|
+        numerators, denom = _integer_value(CvForm((2, 2, 3, 3)))
+        assert denom == math.lcm(2, 4, 6)
+        # t1*t3^3 comes only from +|1 0|3 0|, worth 1/(1!0!3!0!) = 2/12
+        assert numerators[(1, 0, 3, 0)] == 2
+
+    def test_zero_form(self):
+        assert _integer_value(CvForm((0, 0, 3, 3))) == ({}, 1)
 
 
 def _blocks_from_entries(entries, shape):
