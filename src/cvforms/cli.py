@@ -36,6 +36,7 @@ from .laplace import (
     expand_rowblocks,
     naive_oracle,
 )
+from .poly import Polynomial, _term_key
 from .ribbon import (
     SkewTableau,
     backward_order,
@@ -384,10 +385,20 @@ def _format_t_poly(coeffs: dict[int, int]) -> str:
 # ---------------------------------------------------------------- verify
 
 
-def _oracle_check(entries: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+def _oracle_check(entries: tuple[int, ...]) -> tuple[tuple[int, ...], str | None]:
+    """The form and, when the three values differ, a witness line for stderr."""
     form = CvForm(entries)
-    ok = evaluate(form) == naive_oracle(form) == derivative_oracle(form)
-    return entries, ok
+    values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
+    if values[0] == values[1] == values[2]:
+        return entries, None
+    differing = {e for v in values for e in v.terms if len({w.terms.get(e, 0) for w in values}) > 1}
+    exps = min(differing, key=_term_key)
+    coeffs = ", ".join(
+        f"{name} {v.terms.get(exps, 0)}"
+        for name, v in zip(("evaluate", "naive_oracle", "derivative_oracle"), values)
+    )
+    monomial = Polynomial.monomial(form.N, exps).canonical_text()
+    return entries, f"witness: {form} first differs at {monomial}: {coeffs}"
 
 
 def _harmonic_check(task: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], bool]:
@@ -432,6 +443,8 @@ def cmd_verify(args) -> int:
     suite = args.suite
     jobs = _worker_count(args.jobs)
     if suite == "oracle":
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if n <= 4:
             forms = [tuple(e) for e in itertools.product(range(n), repeat=n)]
             source = f"exhaustive {n}^{n}"
@@ -440,13 +453,15 @@ def cmd_verify(args) -> int:
             forms = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(args.samples)]
             source = f"{args.samples} seeded samples (seed {args.seed})"
         results = _run_tasks(_oracle_check, forms, jobs)
-        bad = [e for e, ok in results if not ok]
+        bad = [(e, witness) for e, witness in results if witness is not None]
+        for _, witness in bad[:10]:
+            print(witness, file=sys.stderr)
         lines = [
             f"suite: oracle n={n} ({source})",
             f"forms checked: {len(forms)}",
             f"mismatches: {len(bad)}",
         ]
-        lines.extend(f"mismatch: {CvForm(e)}" for e in bad[:10])
+        lines.extend(f"mismatch: {CvForm(e)}" for e, _ in bad[:10])
         checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
         return _verify_payload(args, suite, lines, checks, not bad)
     if suite == "rank":

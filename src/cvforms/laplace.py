@@ -298,74 +298,117 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     return {reorder(key): c for key, c in acc.items() if c}, common
 
 
+def _over(nvars: int, numerators: dict[tuple[int, ...], int], denom: int) -> Polynomial:
+    # exact Fraction polynomial of integer numerators over one denominator
+    return Polynomial._trusted(nvars, {e: Fraction(c, denom) for e, c in numerators.items()})
+
+
 def evaluate(form: CvForm) -> Polynomial:
     """Exact polynomial value of a form via the block expansion."""
     numerators, denom = _integer_value(form)
-    return Polynomial(form.N, {e: Fraction(c, denom) for e, c in numerators.items()})
+    return _over(form.N, numerators, denom)
 
 
 def naive_oracle(form: CvForm) -> Polynomial:
     """Cofactor-expansion determinant of the defining matrix.
 
     Independent of the block machinery; used to cross-check ``evaluate``.
+    Column j is scaled by ``e_j!``, so cell (r, j) (0-based row r) is the
+    integer ``e_j!/(e_j - r)!`` times ``t_j^(e_j - r)`` and the determinant
+    is the integer one over ``prod e_j!``.  A minor on columns
+    ``col..N-1`` is keyed by the exponents of those columns: a cell times
+    a minor prefixes the cell's exponent, and distinct rows give distinct
+    prefixes, so no two products share a key.
     """
     n = form.N
-    cells: list[list[Polynomial | None]] = []
-    for i in range(1, n + 1):
-        row = []
-        for j, e in enumerate(form.entries):
-            p = e - i + 1
-            if p < 0:
-                row.append(None)
-            else:
-                exps = tuple(p if v == j else 0 for v in range(n))
-                row.append(Polynomial.monomial(n, exps, Fraction(1, math.factorial(p))))
-        cells.append(row)
+    ent = form.entries
+    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
 
-    memo: dict[tuple[int, ...], Polynomial] = {}
-
-    def minor(rows: tuple[int, ...]) -> Polynomial:
-        if not rows:
-            return Polynomial.constant(n, 1)
-        if rows in memo:
-            return memo[rows]
-        col = n - len(rows)
-        acc = Polynomial.zero(n)
+    def minor(rows: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        got = memo.get(rows)
+        if got is not None:
+            return got
+        e = ent[n - len(rows)]
+        acc: dict[tuple[int, ...], int] = {}
         for idx, r in enumerate(rows):
-            cell = cells[r][col]
-            if cell is None:
-                continue
-            rest = rows[:idx] + rows[idx + 1:]
-            piece = cell * minor(rest)
-            acc = acc + (piece if idx % 2 == 0 else -piece)
+            if r > e:
+                break
+            scale = math.perm(e, r) if idx % 2 == 0 else -math.perm(e, r)
+            head = (e - r,)
+            for tail, c in minor(rows[:idx] + rows[idx + 1:]).items():
+                acc[head + tail] = scale * c
         memo[rows] = acc
         return acc
 
-    return minor(tuple(range(n)))
+    denom = math.prod(math.factorial(e) for e in ent)
+    return _over(n, minor(tuple(range(n))), denom)
+
+
+@lru_cache(maxsize=None)
+def _integer_vandermonde(n: int) -> tuple[int, tuple]:
+    """``prod_{i<j} (t_i - t_j)`` as an integer exponent trie, and ``prod_{i<j} (j - i)``.
+
+    The product is multiplied out from its linear factors.  A trie level
+    is a tuple of ``(exponent, child)`` pairs, exponents descending, where
+    the child is the next variable's level, or the coefficient after t_N.
+    """
+    terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
+    denom = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            out: dict[tuple[int, ...], int] = {}
+            for key, c in terms.items():
+                up_i = key[:i] + (key[i] + 1,) + key[i + 1:]
+                up_j = key[:j] + (key[j] + 1,) + key[j + 1:]
+                out[up_i] = out.get(up_i, 0) + c
+                out[up_j] = out.get(up_j, 0) - c
+            terms = {key: c for key, c in out.items() if c}
+            denom *= j - i
+
+    def level(items: list, depth: int) -> tuple | int:
+        if depth == n:
+            return items[0][1]
+        return tuple(
+            (e, level(list(group), depth + 1))
+            for e, group in itertools.groupby(items, key=lambda kc: kc[0][depth])
+        )
+
+    return denom, level(sorted(terms.items(), reverse=True), 0)
 
 
 @lru_cache(maxsize=None)
 def normalized_vandermonde(n: int) -> Polynomial:
     """The form ``[N-1 ... N-1]``: prod_{i<j} (t_i - t_j) / (j - i)."""
-    value = Polynomial.constant(n, 1)
-    denom = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = value * (Polynomial.variable(n, i) - Polynomial.variable(n, j))
-            denom *= j - i
-    return value * Fraction(1, denom)
+    return derivative_oracle(CvForm((n - 1,) * n))
 
 
 def derivative_oracle(form: CvForm) -> Polynomial:
     """Second oracle: differentiate the normalized Vandermonde.
 
-    Entry ``ni`` records ``N-1-ni`` derivatives in ``t_i``.
+    Entry ``ni`` records ``N-1-ni`` derivatives in ``t_i``.  All N orders
+    are applied in one depth-first walk of the Vandermonde's exponent
+    trie: t_i^e becomes ``e!/(e-k)!`` times t_i^(e-k), and a branch is
+    dropped at the first variable whose exponent is below its order k.
     """
     n = form.N
-    value = normalized_vandermonde(n)
-    for i, e in enumerate(form.entries):
-        value = value.differentiate(i, n - 1 - e)
-    return value
+    denom, trie = _integer_vandermonde(n)
+    orders = [n - 1 - e for e in form.entries]
+    out: dict[tuple[int, ...], int] = {}
+
+    def walk(level: tuple, depth: int, head: tuple[int, ...], coeff: int) -> None:
+        k = orders[depth]
+        for e, child in level:
+            if e < k:
+                break
+            c = coeff * math.perm(e, k)
+            key = head + (e - k,)
+            if depth == n - 1:
+                out[key] = c * child
+            else:
+                walk(child, depth + 1, key, c)
+
+    walk(trie, 0, (), 1)
+    return _over(n, out, denom)
 
 
 def leading_rowblock(class_entries) -> RowBlock:

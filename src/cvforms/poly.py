@@ -47,6 +47,19 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap a result the package computed itself.
+
+        ``terms`` must already map ``nvars``-slot tuples of non-negative
+        exponents to ``Fraction`` values; only zero values are dropped.
+        Input from outside goes through ``Polynomial(nvars, terms)``.
+        """
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = {e: c for e, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
 
@@ -91,10 +104,10 @@ class Polynomial:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -109,9 +122,9 @@ class Polynomial:
                 for eb, cb in other.terms.items():
                     key = tuple(x + y for x, y in zip(ea, eb))
                     out[key] = out.get(key, Fraction(0)) + ca * cb
-            return Polynomial(self.nvars, out)
+            return Polynomial._trusted(self.nvars, out)
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.nvars, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -145,7 +158,7 @@ class Polynomial:
                 fall *= e - i
             key = exps[:var] + (e - order,) + exps[var + 1:]
             out[key] = coeff * fall
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def symmetrized_derivative(self, k: int) -> "Polynomial":
         """Apply the power-sum operator sum_i d^k/dt_i^k."""
@@ -155,7 +168,7 @@ class Polynomial:
         for var in range(self.nvars):
             for exps, coeff in self.differentiate(var, k).terms.items():
                 acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.nvars, acc)
+        return Polynomial._trusted(self.nvars, acc)
 
     def canonical_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted by the canonical graded order."""

@@ -272,6 +272,30 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exits_two(self, samples, capsys):
+        code, out, err = run(["verify", "5", "oracle", "--samples", samples], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+    def test_oracle_mismatch_names_a_witness(self, capsys, monkeypatch):
+        real = cli.naive_oracle
+
+        def wrong(form):
+            value = real(form)
+            return value * 2 if form.entries == (1, 2, 2) else value
+
+        monkeypatch.setattr(cli, "naive_oracle", wrong)
+        code, out, err = run(["verify", "3", "oracle", "--jobs", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[-3:] == ["mismatches: 1", "mismatch: [1 2 2]", "result: FAIL"]
+        # [1 2 2] is t1*t2 - t1*t3 - 1/2*t2^2 + 1/2*t3^2, t1*t2 first in canonical order
+        assert err == (
+            "witness: [1 2 2] first differs at t1*t2: "
+            "evaluate 1, naive_oracle 2, derivative_oracle 1\n"
+        )
+
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli._worker_count(1) == 1

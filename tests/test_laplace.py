@@ -1,5 +1,7 @@
 """Block expansion, row-blocks, and the determinant oracles."""
 
+import ast
+import inspect
 import itertools
 import math
 import random
@@ -27,7 +29,8 @@ from cvforms import (
     rowblock_value,
     shuffles,
 )
-from cvforms.laplace import _integer_value
+from cvforms import laplace
+from cvforms.laplace import _integer_value, normalized_vandermonde
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
@@ -264,6 +267,67 @@ class TestOracleAgreement:
         for _ in range(12):
             f = CvForm(tuple(rng.randrange(5) for _ in range(5)))
             assert evaluate(f) == naive_oracle(f) == leibniz_det(f)
+
+
+def _laplace_names(func, seen=None) -> set[str]:
+    """Every identifier in ``func``'s source and, transitively, in the
+    source of each ``laplace`` function it names."""
+    seen = set() if seen is None else seen
+    tree = ast.parse(inspect.getsource(inspect.unwrap(func)).lstrip())
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is None or name in seen:
+            continue
+        seen.add(name)
+        target = getattr(laplace, name, None)
+        if callable(target) and getattr(inspect.unwrap(target), "__module__", None) == laplace.__name__:
+            _laplace_names(target, seen)
+    return seen
+
+
+class TestOraclesAgainstLeibniz:
+    """Both oracles against the permutation sum, which shares no code with them."""
+
+    @staticmethod
+    def check(entries):
+        f = CvForm(entries)
+        expect = leibniz_det(f)
+        assert naive_oracle(f) == expect
+        assert derivative_oracle(f) == expect
+
+    def test_exhaustive_four(self):
+        for entries in itertools.product(range(4), repeat=4):
+            self.check(entries)
+
+    def test_seeded_five(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            self.check(tuple(rng.randrange(5) for _ in range(5)))
+
+    @pytest.mark.parametrize("entries", [(0, 1, 2, 3, 4, 5), (5, 5, 5, 5, 5, 5)])
+    def test_six(self, entries):
+        self.check(entries)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_normalized_vandermonde(self, n):
+        assert normalized_vandermonde(n) == leibniz_det(CvForm((n - 1,) * n))
+
+    @pytest.mark.parametrize(
+        "entries", [(0, 0, 3, 3), (1, 1, 1, 3), (0, 2, 0, 3, 4), (3, 3, 3, 3, 0)]
+    )
+    def test_vanishing_forms_store_no_terms(self, entries):
+        f = CvForm(entries)
+        assert leibniz_det(f).is_zero()
+        for value in (naive_oracle(f), derivative_oracle(f), evaluate(f)):
+            assert value.is_zero()
+            assert value.terms == {}
+
+    @pytest.mark.parametrize("oracle", [naive_oracle, derivative_oracle])
+    def test_oracles_avoid_the_block_expansion(self, oracle):
+        names = _laplace_names(oracle)
+        assert not names & {"expand_rowblocks", "_integer_value", "evaluate"}
+        # the walk does find the expansion where it is used
+        assert {"expand_rowblocks", "_integer_value"} <= _laplace_names(evaluate)
 
 
 class TestIntegerKernel:

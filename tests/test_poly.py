@@ -46,6 +46,14 @@ class TestConstruction:
         p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
         assert p.terms == {(0, 1): Fraction(2)}
 
+    def test_public_constructor_rejects_bad_keys(self):
+        with pytest.raises(ValueError, match="does not have 2 slots"):
+            Polynomial(2, {(1, 0, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(2, {(1, -1): 1})
+        with pytest.raises(ValueError):
+            Polynomial(-1)
+
 
 class TestArithmetic:
     def test_add_cancel(self):
@@ -100,6 +108,52 @@ class TestRingAxioms:
         assert a + Polynomial.zero(3) == a
         assert a * one == a
         assert (a - a).is_zero()
+
+
+def _assert_clean(p):
+    # results built without the public checks still hold only nonzero Fractions
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+class TestComputedResults:
+    def test_cancellation_stores_no_terms(self):
+        p = p_x() * p_x() * Fraction(1, 3) - p_y()
+        for zero in (p - p, p + (-p), p * 0, p * Polynomial.zero(2)):
+            assert zero.is_zero()
+            assert zero.terms == {}
+
+    def test_differentiate_past_degree(self):
+        p = p_x() * p_x() * p_y()
+        assert p.differentiate(0, 3).terms == {}
+        assert p.differentiate(1, 2).terms == {}
+        _assert_clean(p.differentiate(0, 2))
+
+    def test_symmetrized_derivative_cancels_cleanly(self):
+        x, y = p_x(), p_y()
+        # d/dt1 + d/dt2 kills t1 - t2 and leaves 2 for t1 + t2
+        assert (x - y).symmetrized_derivative(1).terms == {}
+        two = (x + y).symmetrized_derivative(1)
+        assert two.terms == {(0, 0): Fraction(2)}
+        _assert_clean(two)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_polys, small_polys)
+    def test_results_hold_nonzero_fractions(self, a, b):
+        derived = (a.differentiate(0, 2), a.symmetrized_derivative(2))
+        for p in (a + b, a - b, a * b, 3 * a, a * Fraction(1, 2), -a, *derived):
+            _assert_clean(p)
+
+    def test_json_of_computed_result_unchanged(self):
+        x, y = p_x(), p_y()
+        p = (x + y) * (x - y) * Fraction(1, 2) - Polynomial.constant(2, 3)
+        assert p.to_json_dict() == {
+            "nvars": 2,
+            "terms": [
+                {"exp": [2, 0], "num": "1", "den": "2"},
+                {"exp": [0, 2], "num": "-1", "den": "2"},
+                {"exp": [0, 0], "num": "-3", "den": "1"},
+            ],
+        }
 
 
 class TestDifferentiation:
