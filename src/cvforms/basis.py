@@ -16,7 +16,7 @@ from math import gcd
 from .cvform import CvForm
 from .laplace import (
     _integer_value,
-    characteristic_monomial,
+    characteristic_exponents,
     diagonal_rowblock,
     evaluate,
 )
@@ -27,7 +27,6 @@ from .ribbon import (
     enumerate_ribbons,
     enumerate_tableaux,
     ribbons_of_degree,
-    tableau_to_cvform,
 )
 
 
@@ -49,7 +48,7 @@ def q_factorial(n: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisForm:
     """A generated form together with its source tableau."""
 
@@ -75,12 +74,16 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"reading order {order} is not a permutation of 1..{n}")
     ribbons = enumerate_ribbons(n) if degree is None else ribbons_of_degree(n, degree)
-    forms = tuple(
-        BasisForm(tableau_to_cvform(t, order), t)
-        for rib in ribbons
-        for t in enumerate_tableaux(rib)
-    )
-    return Basis(n, degree, order, forms)
+    forms = []
+    for rib in ribbons:
+        columns = [c for _, c in rib.boxes]
+        column_of = [0] * (n + 1)
+        for t in enumerate_tableaux(rib):
+            # the reading of tableau_to_cvform, through a value -> column array
+            for c, v in zip(columns, t.filling):
+                column_of[v] = c
+            forms.append(BasisForm(CvForm([column_of[v] for v in order]), t))
+    return Basis(n, degree, order, tuple(forms))
 
 
 def verify_harmonicity(form: CvForm, kmax: int | None = None) -> dict:
@@ -280,21 +283,27 @@ def leading_rank(basis: Basis) -> int:
     return rank
 
 
-def verify_characteristic_uniqueness(basis: Basis) -> bool:
-    """Pairwise distinctness of the leading diagonal monomials.
+def characteristic_collision(basis: Basis) -> tuple[CvForm, CvForm, tuple[int, ...]] | None:
+    """The first two forms that share a diagonal monomial, and that monomial.
 
     Requires the backward reading order, for which the diagonal exponents
-    are the form types; no polynomial expansion is involved.
+    are the form types; no polynomial expansion is involved.  Returns None
+    when the monomials are pairwise distinct.
     """
     if basis.reading_order != backward_order(basis.n):
         raise ValueError("characteristic uniqueness is defined for the backward reading")
-    seen = set()
+    first: dict[tuple[int, ...], CvForm] = {}
     for bf in basis.forms:
-        exps = characteristic_monomial(diagonal_rowblock(bf.form))
-        if exps in seen:
-            return False
-        seen.add(exps)
-    return True
+        exps = characteristic_exponents(bf.form)
+        if exps in first:
+            return first[exps], bf.form, exps
+        first[exps] = bf.form
+    return None
+
+
+def verify_characteristic_uniqueness(basis: Basis) -> bool:
+    """Pairwise distinctness of the leading diagonal monomials."""
+    return characteristic_collision(basis) is None
 
 
 def compare_bases(n: int, orders) -> dict:

@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .basis import (
+    characteristic_collision,
     compare_bases,
     generate_basis,
     leading_rank,
@@ -482,6 +483,8 @@ def cmd_verify(args) -> int:
         checks = {"forms": expected, "rank": rank, "mode": mode}
         return _verify_payload(args, suite, lines, checks, ok)
     if suite == "harmonic":
+        if args.kmax is not None and args.kmax < 1:
+            raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
         kmax = args.kmax if args.kmax is not None else n - 1
         basis = generate_basis(n)
         tasks = [(bf.form.entries, kmax) for bf in basis.forms]
@@ -531,6 +534,10 @@ def cmd_verify(args) -> int:
     if suite == "chars":
         basis = generate_basis(n)
         ok = verify_characteristic_uniqueness(basis)
+        if not ok:
+            a, b, exps = characteristic_collision(basis)
+            monomial = Polynomial.monomial(n, exps).canonical_text()
+            print(f"witness: {a} and {b} share the characteristic monomial {monomial}", file=sys.stderr)
         lines = [
             f"suite: chars n={n}",
             f"forms: {len(basis.forms)}",
@@ -604,6 +611,8 @@ def _leibniz_nonzero(form: CvForm) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     forms: list[CvForm] = [CvForm.parse(f) for f in args.form or []]
     rng = random.Random(args.seed)
     for n in range(args.min, args.max + 1):

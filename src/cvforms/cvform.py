@@ -45,13 +45,15 @@ class CvForm:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        ent = tuple(int(e) for e in entries)
+        ent = tuple(map(int, entries))
         if not ent:
             raise ValueError("a form needs at least one entry")
         n = len(ent)
-        for e in ent:
-            if not 0 <= e <= n - 1:
-                raise ValueError(f"entry {e} outside 0..{n - 1} for {n} variables")
+        if min(ent) < 0 or max(ent) > n - 1:
+            # name the first offending entry, as a per-entry check would
+            for e in ent:
+                if not 0 <= e <= n - 1:
+                    raise ValueError(f"entry {e} outside 0..{n - 1} for {n} variables")
         self.entries = ent
 
     @property
@@ -103,8 +105,10 @@ class CvForm:
         columns), all-distinct entries give the sign of the permutation
         sorting them (triangular determinant up to column order).
         """
-        entries = list(self.entries)
         n = self.N
+        if 0 not in self.entries and len(set(self.entries)) < n:
+            return 1, self  # zero-free and not a scalar: the form is its own terminal
+        entries = list(self.entries)
         sign = 1
         for _ in range(n + 1):
             if len(set(entries)) == n:

@@ -474,3 +474,25 @@ def characteristic_monomial(rb: RowBlock) -> tuple[int, ...]:
         for var, p in zip(variables, powers):
             exps[var - 1] = p
     return tuple(exps)
+
+
+def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
+    """``characteristic_monomial(diagonal_rowblock(form))``, in O(N).
+
+    After zero removal the staircase gives the variable at position r of
+    the stable entry sort the power ``entry - r``; no sign, decoding table
+    or row-block is built.  Raises where ``diagonal_rowblock`` raises.
+    """
+    sign, reduced = form.remove_zeros()
+    if reduced is None:
+        if sign == 0:
+            raise ValueError(f"{form} is the zero form, it has no row-blocks")
+        return (0,) * form.N
+    ent = reduced.entries
+    exps = [0] * len(ent)
+    for rank, i in enumerate(sorted(range(len(ent)), key=ent.__getitem__)):
+        power = ent[i] - rank
+        if power < 0:
+            raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
+        exps[i] = power
+    return tuple(exps)

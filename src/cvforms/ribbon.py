@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +36,16 @@ class Ribbon:
             raise ValueError("a ribbon needs at least one box")
         if boxes[-1] != (0, n - 1):
             raise ValueError(f"last box must be (0, {n - 1}), got {boxes[-1]}")
+        steps = []
         for (k1, c1), (k2, c2) in zip(boxes, boxes[1:]):
-            if not ((k2 == k1 and c2 == c1 + 1) or (k2 == k1 - 1 and c2 == c1)):
+            if k2 == k1 and c2 == c1 + 1:
+                steps.append(RIGHT)
+            elif k2 == k1 - 1 and c2 == c1:
+                steps.append(BACK)
+            else:
                 raise ValueError(f"illegal step {(k1, c1)} -> {(k2, c2)}")
+        # kept beside the fields: every tableau validation reads the steps
+        object.__setattr__(self, "_steps", tuple(steps))
 
     @property
     def size(self) -> int:
@@ -49,10 +57,7 @@ class Ribbon:
         return self.boxes[0][0] + 1
 
     def steps(self) -> tuple[str, ...]:
-        out = []
-        for (k1, _), (k2, _) in zip(self.boxes, self.boxes[1:]):
-            out.append(RIGHT if k2 == k1 else BACK)
-        return tuple(out)
+        return self._steps
 
     def class_entries(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.boxes)
@@ -162,7 +167,7 @@ def count_syt(sp: SkewPartition) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkewTableau:
     """A standard filling of a ribbon, stored along the box walk."""
 
@@ -199,33 +204,38 @@ class SkewTableau:
 
 
 def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:
-    """All standard fillings, lexicographic on the filling word."""
+    """All standard fillings, lexicographic on the filling word.
+
+    The words grow level by level: after a row step by an unused value
+    above the last one, after a column step by one below it.  Growing the
+    words of a level in order, candidates ascending, keeps the order.  A
+    value enters only if the word can still be completed, so no dead end
+    is ever built.
+    """
     n = r.size
     steps = r.steps()
-    out: list[SkewTableau] = []
-    used = [False] * (n + 1)
-
-    def rec(pos: int, word: list[int]) -> None:
-        if pos == n:
-            out.append(SkewTableau(r, tuple(word)))
-            return
-        prev = word[-1] if word else None
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if prev is not None:
-                if steps[pos - 1] == RIGHT and v < prev:
-                    continue
-                if steps[pos - 1] == BACK and v > prev:
-                    continue
-            used[v] = True
-            word.append(v)
-            rec(pos + 1, word)
-            word.pop()
-            used[v] = False
-
-    rec(0, [])
-    return out
+    # completes[p][j]: a word of length p + 1 whose last value exceeds
+    # exactly j of the still unused values can be completed; filled
+    # backwards from the last box
+    completes = [[True] for _ in range(n)]
+    for p in range(n - 2, -1, -1):
+        later = completes[p + 1]
+        if steps[p] == RIGHT:
+            completes[p] = [any(later[j:]) for j in range(n - p)]
+        else:
+            completes[p] = [any(later[:j]) for j in range(n - p)]
+    values = tuple(range(1, n + 1))
+    level = [((v,), values[:v - 1] + values[v:]) for v in values if completes[0][v - 1]]
+    for p, step in enumerate(steps, start=1):
+        fits = completes[p]
+        grown = []
+        for word, unused in level:
+            cut = bisect(unused, word[-1])
+            for i in range(cut, len(unused)) if step == RIGHT else range(cut):
+                if fits[i]:
+                    grown.append((word + (unused[i],), unused[:i] + unused[i + 1:]))
+        level = grown
+    return [SkewTableau(r, word) for word, _ in level]
 
 
 def backward_order(n: int) -> tuple[int, ...]:
@@ -349,6 +359,8 @@ def ribbon_generating_function(n: int) -> dict[tuple[int, int], int]:
     Keyed by (index d, height-1 l); the (d, l) count is the number of
     ribbons on N boxes with index d occupying l+1 rows.
     """
+    if n < 1:
+        raise ValueError("need at least one box")
     coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
     for k in range(1, n):
         nxt = dict(coeffs)

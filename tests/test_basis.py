@@ -1,6 +1,8 @@
 """Basis generation, harmonicity, and exact independence."""
 
+import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -27,8 +29,9 @@ from cvforms import (
     verify_harmonicity,
     verify_independence,
 )
-from cvforms.basis import _PRIME, _certified_rank, _rank_mod_p
+from cvforms.basis import _PRIME, _certified_rank, _rank_mod_p, characteristic_collision
 from cvforms.laplace import _integer_value
+from cvforms.ribbon import enumerate_tableaux, ribbons_of_degree
 
 
 class TestQFactorial:
@@ -113,6 +116,25 @@ class TestGenerateBasis:
     def test_forms_keep_their_tableaux(self):
         for bf in generate_basis(4).forms:
             assert tableau_to_cvform(bf.tableau) == bf.form
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(1, 5))))
+    def test_reading_equals_tableau_to_cvform_in_every_order(self, order):
+        basis = generate_basis(4, None, order)
+        assert len(basis.forms) == 24
+        for bf in basis.forms:
+            assert bf.form == tableau_to_cvform(bf.tableau, order)
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_reading_equals_tableau_to_cvform_per_degree(self, d):
+        basis = generate_basis(5, d)
+        assert len(basis.forms) == q_factorial(5)[d]
+        tableaux = [t for rib in ribbons_of_degree(5, d) for t in enumerate_tableaux(rib)]
+        assert [bf.tableau for bf in basis.forms] == tableaux
+        assert [bf.form for bf in basis.forms] == [tableau_to_cvform(t) for t in tableaux]
+
+    def test_basis_forms_pickle(self):
+        forms = generate_basis(3).forms
+        assert pickle.loads(pickle.dumps(forms)) == forms
 
 
 class TestHarmonicity:
@@ -279,6 +301,19 @@ class TestCharacteristicUniqueness:
         basis = generate_basis(4)
         types = {bf.form.type_of() for bf in basis.forms}
         assert len(types) == 24
+
+    def test_no_collision_in_the_backward_basis(self):
+        assert characteristic_collision(generate_basis(5)) is None
+
+    def test_collision_names_the_first_pair(self):
+        forms = [CvForm(e) for e in ((2, 2, 1), (2, 1, 2), (2, 2, 1), (2, 1, 2))]
+        basis = Basis(3, None, backward_order(3), tuple(BasisForm(f, None) for f in forms))
+        assert characteristic_collision(basis) == (forms[0], forms[2], (1, 0, 1))
+        assert verify_characteristic_uniqueness(basis) is False
+
+    def test_collision_requires_backward_order(self):
+        with pytest.raises(ValueError):
+            characteristic_collision(generate_basis(3, None, (1, 2, 3)))
 
 
 class TestCompareBases:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from cvforms import cli
+from cvforms import basis, cli
+from cvforms.cvform import CvForm
 
 
 def run(argv, capsys):
@@ -213,6 +214,14 @@ class TestCount:
         assert data["schema"] == "cvforms.count/1"
         assert data["mahonian"] == [1, 3, 5, 6, 5, 3, 1]
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("what", ["gf", "ribbons"])
+    def test_no_boxes_exits_two(self, n, what, capsys):
+        code, out, err = run(["count", n, what], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least one box\n"
+
 
 class TestVerify:
     def test_oracle_small(self, capsys):
@@ -296,6 +305,41 @@ class TestVerify:
             "evaluate 1, naive_oracle 2, derivative_oracle 1\n"
         )
 
+    def test_chars_collision_names_a_witness(self, capsys, monkeypatch):
+        real = basis.characteristic_exponents
+
+        def colliding(form):
+            # [2 1 2] borrows the monomial of [2 2 1], which comes first
+            return real(CvForm((2, 2, 1)) if form.entries == (2, 1, 2) else form)
+
+        monkeypatch.setattr(basis, "characteristic_exponents", colliding)
+        code, out, err = run(["verify", "3", "chars"], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "suite: chars n=3",
+            "forms: 6",
+            "characteristic monomials pairwise distinct: False",
+            "result: FAIL",
+        ]
+        assert err == "witness: [2 2 1] and [2 1 2] share the characteristic monomial t1*t3\n"
+
+    def test_chars_pass_writes_no_witness(self, capsys):
+        code, _, err = run(["verify", "4", "chars"], capsys)
+        assert code == 0
+        assert err == ""
+
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_exits_two(self, kmax, capsys):
+        code, out, err = run(["verify", "4", "harmonic", "--kmax", kmax], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kmax must be at least 1, got {kmax}\n"
+
+    def test_harmonic_default_kmax_for_one_variable(self, capsys):
+        code, out, _ = run(["verify", "1", "harmonic"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "suite: harmonic n=1 kmax=0"
+
     def test_jobs_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli._worker_count(1) == 1
@@ -368,6 +412,12 @@ class TestBench:
         assert cells[0] == "[2 2 4 4 5 5]"
         assert cells[1:5] == ["6", "720", "72", "9"]
         assert float(cells[5]) >= 0 and float(cells[6]) >= 0
+
+    def test_negative_samples_exit_two(self, capsys):
+        code, out, err = run(["bench", "--samples", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be at least 0, got -1\n"
 
     def test_sampling_is_seeded(self, capsys):
         code1, out1, _ = run(["bench", "--max", "4", "--samples", "2"], capsys)

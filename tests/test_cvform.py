@@ -45,6 +45,34 @@ class TestParse:
         assert str(f) == "[0 1 3 3]"
         assert CvForm.parse(str(f)) == f
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((), "a form needs at least one entry"),
+            ((1, 2, 3, 4), "entry 4 outside 0..3 for 4 variables"),
+            ((0, 5, -1, 1), "entry 5 outside 0..3 for 4 variables"),
+            ((0, -1, 2), "entry -1 outside 0..2 for 3 variables"),
+            ((1,), "entry 1 outside 0..0 for 1 variables"),
+        ],
+    )
+    def test_rejection_messages(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            CvForm(entries)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", ["x", None, "1.5"])
+    def test_non_integer_entries_rejected_like_int(self, bad):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            int(bad)
+        with pytest.raises(expected.type) as info:
+            CvForm((0, bad))
+        assert str(info.value) == str(expected.value)
+
+    def test_entries_are_ints(self):
+        f = CvForm(["1", 0, True])
+        assert f.entries == (1, 0, 1) and all(type(e) is int for e in f.entries)
+        assert CvForm(iter([2, 2, 1])).entries == (2, 2, 1)
+
     def test_entry_range_enforced(self):
         with pytest.raises(ValueError):
             CvForm((0, 4, 1, 1))

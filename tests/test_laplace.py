@@ -30,7 +30,8 @@ from cvforms import (
     shuffles,
 )
 from cvforms import laplace
-from cvforms.laplace import _integer_value, normalized_vandermonde
+from cvforms.basis import generate_basis
+from cvforms.laplace import _integer_value, characteristic_exponents, normalized_vandermonde
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
@@ -444,3 +445,54 @@ class TestDiagonalRowBlock:
     def test_six_variable_example(self):
         f = CvForm((2, 2, 4, 4, 5, 5))
         assert characteristic_monomial(diagonal_rowblock(f)) == (2, 1, 2, 1, 1, 0)
+
+
+def _outcome(route, form):
+    try:
+        return route(form)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _slow_characteristic(form):
+    return characteristic_monomial(diagonal_rowblock(form))
+
+
+class TestCharacteristicKernel:
+    def test_exhaustive_against_the_row_block_path(self):
+        raised = 0
+        for n in range(1, 6):
+            for entries in itertools.product(range(n), repeat=n):
+                f = CvForm(entries)
+                slow = _outcome(_slow_characteristic, f)
+                assert _outcome(characteristic_exponents, f) == slow, f
+                raised += isinstance(slow, str)
+        assert raised > 0  # the raising branches were reached
+
+    def test_seven_variable_basis(self):
+        for bf in generate_basis(7).forms:
+            assert characteristic_exponents(bf.form) == _slow_characteristic(bf.form)
+
+    def test_ties_take_their_stable_rank(self):
+        assert characteristic_exponents(CvForm((2, 2, 4, 4, 5, 5))) == (2, 1, 2, 1, 1, 0)
+        assert characteristic_exponents(CvForm((3, 1, 1, 3))) == (1, 1, 0, 0)
+
+    def test_reduced_and_constant_forms(self):
+        # [0 1 3 3] reduces to [2 3 1 1]; an all-distinct form is a constant
+        assert characteristic_exponents(CvForm((0, 1, 3, 3))) == (0, 0, 1, 0)
+        assert characteristic_exponents(CvForm((1, 0, 2, 3))) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((0, 0, 2, 3), "[0 0 2 3] is the zero form, it has no row-blocks"),
+            # one zero, but zero removal turns [0 1 1 3] into [3 0 0 2]
+            ((0, 1, 1, 3), "[0 1 1 3] is the zero form, it has no row-blocks"),
+            ((1, 1, 1, 3), "[1 1 1 3] vanishes, the staircase pick is inadmissible"),
+        ],
+    )
+    def test_raises_like_the_row_block_path(self, entries, message):
+        for route in (characteristic_exponents, _slow_characteristic):
+            with pytest.raises(ValueError) as info:
+                route(CvForm(entries))
+            assert str(info.value) == message

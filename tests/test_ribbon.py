@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -164,6 +165,48 @@ class TestTableaux:
     def test_json_round_trip(self):
         t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
         assert SkewTableau.from_json_dict(t.to_json_dict()) == t
+
+    def test_pickle_round_trip(self):
+        t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        assert back.ribbon.steps() == t.ribbon.steps()
+
+
+def brute_force_fillings(n: int) -> dict[tuple[str, ...], list[tuple[int, ...]]]:
+    """Permutations of 1..n in lexicographic order, grouped by step word."""
+    groups: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
+    for perm in itertools.permutations(range(1, n + 1)):
+        word = tuple("R" if a < b else "U" for a, b in zip(perm, perm[1:]))
+        groups.setdefault(word, []).append(perm)
+    return groups
+
+
+class TestLevelwiseEnumeration:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_filtered_permutations(self, n):
+        groups = brute_force_fillings(n)
+        for r in enumerate_ribbons(n):
+            fillings = [t.filling for t in enumerate_tableaux(r)]
+            assert fillings == groups[r.steps()]
+            assert len(fillings) == count_syt(to_skew_partition(r))
+
+    def test_cached_steps_follow_the_boxes(self):
+        for n in range(1, 7):
+            for r in enumerate_ribbons(n):
+                rebuilt = tuple(
+                    "R" if k2 == k1 else "U" for (k1, _), (k2, _) in zip(r.boxes, r.boxes[1:])
+                )
+                assert r.steps() == rebuilt
+                assert Ribbon(r.boxes) == r and hash(Ribbon(r.boxes)) == hash(r)
+
+    def test_small_step_words(self):
+        # R R U: prefixes such as (1 4) cannot rise again and are never built
+        r = class_to_ribbon((1, 1, 1, 0))
+        assert [t.filling for t in enumerate_tableaux(r)] == [(1, 2, 4, 3), (1, 3, 4, 2), (2, 3, 4, 1)]
+        # U R R: the second value must be 1
+        r = class_to_ribbon((1, 0, 0, 0))
+        assert [t.filling for t in enumerate_tableaux(r)] == [(2, 1, 3, 4), (3, 1, 2, 4), (4, 1, 2, 3)]
 
 
 class TestInjection:
