@@ -12,12 +12,9 @@ independence facts behind that construction.
 from .basis import (
     Basis,
     BasisForm,
-    CoefficientMatrix,
-    coefficient_matrix,
     compare_bases,
     fraction_free_rank,
     generate_basis,
-    leading_rank,
     q_factorial,
     verify_characteristic_uniqueness,
     verify_harmonicity,
@@ -37,8 +34,6 @@ from .laplace import (
     expand_rowblocks,
     leading_rowblock,
     naive_oracle,
-    rowblock_value,
-    shuffles,
 )
 from .poly import Polynomial
 from .ribbon import (
@@ -70,7 +65,6 @@ __all__ = [
     "Basis",
     "BasisForm",
     "BlockFactorization",
-    "CoefficientMatrix",
     "CvForm",
     "DecodingTable",
     "Polynomial",
@@ -82,7 +76,6 @@ __all__ = [
     "build_decoding_table",
     "characteristic_monomial",
     "class_to_ribbon",
-    "coefficient_matrix",
     "compare_bases",
     "compare_rowblocks",
     "count_syt",
@@ -95,7 +88,6 @@ __all__ = [
     "flip",
     "fraction_free_rank",
     "generate_basis",
-    "leading_rank",
     "leading_rowblock",
     "naive_oracle",
     "permutation_sign",
@@ -107,8 +99,6 @@ __all__ = [
     "ribbon_index",
     "ribbon_to_class",
     "ribbons_of_degree",
-    "rowblock_value",
-    "shuffles",
     "tableau_from_cvform",
     "tableau_to_cvform",
     "tableau_to_type",

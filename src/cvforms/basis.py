@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .cvform import CvForm
 from .laplace import (
     _integer_value,
     characteristic_exponents,
-    diagonal_rowblock,
     evaluate,
 )
 from .poly import Polynomial, _term_key
@@ -126,7 +125,11 @@ class CoefficientMatrix:
 
 
 def coefficient_matrix(polys) -> CoefficientMatrix:
-    """Assemble expanded polynomials over their canonical column union."""
+    """Assemble expanded polynomials over their canonical column union.
+
+    The dense Fraction route to rank rows; ``verify_independence`` takes
+    the sparse integer rows of ``_integer_value`` instead.
+    """
     polys = list(polys)
     columns = sorted({e for p in polys for e in p.terms}, key=_term_key)
     index = {e: i for i, e in enumerate(columns)}
@@ -143,11 +146,8 @@ def _integer_rows(matrix: CoefficientMatrix) -> list[list[int]]:
     # scale each row by the least common multiple of its denominators
     rows = []
     for row in matrix.rows:
-        lcm = 1
-        for c in row:
-            if c:
-                lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        rows.append([int(c * lcm) for c in row])
+        scale = lcm(*(c.denominator for c in row))
+        rows.append([int(c * scale) for c in row])
     return rows
 
 
@@ -254,33 +254,10 @@ def verify_independence(basis: Basis) -> tuple[int, bool]:
         by_degree.setdefault(f.degree(), []).append(f)
     rank = 0
     for d in sorted(by_degree):
-        slice_forms = by_degree[d]
-        if duplicates:
-            seen = []
-            for f in slice_forms:
-                if f not in seen:
-                    seen.append(f)
-            slice_forms = seen
+        # a duplicate form adds no rank; each distinct form enters once
+        slice_forms = dict.fromkeys(by_degree[d])
         rank += _certified_rank(_integer_value(f)[0] for f in slice_forms)
     return rank, not duplicates and rank == len(forms)
-
-
-def leading_rank(basis: Basis) -> int:
-    """Rank of the leading row-blocks only; a faster screen for large N."""
-    by_degree: dict[int, list[CvForm]] = {}
-    for bf in basis.forms:
-        by_degree.setdefault(bf.form.degree(), []).append(bf.form)
-    from .laplace import BlockFactorization, rowblock_value
-
-    rank = 0
-    for d in sorted(by_degree):
-        polys = []
-        for f in by_degree[d]:
-            rb = diagonal_rowblock(f)
-            polys.append(rowblock_value(rb, BlockFactorization(rb.var_partition, f.N)))
-        matrix = coefficient_matrix(polys)
-        rank += _certified_rank(dict(enumerate(row)) for row in _integer_rows(matrix))
-    return rank
 
 
 def characteristic_collision(basis: Basis) -> tuple[CvForm, CvForm, tuple[int, ...]] | None:

@@ -2,10 +2,15 @@
 
 Subcommands cover evaluation (eval, expand, type, class), combinatorics
 (ribbon, tableaux, basis, count), verification suites (verify), the
-tableau involution (flip) and a micro benchmark (bench).  Text output is
-deterministic; ``--format json`` wraps the same data under a versioned
-``schema`` key.  Exit codes: 0 on success, 1 when a verification suite
-fails, 2 on unusable input.
+tableau involution (flip) and a micro benchmark (bench).  Each command
+except bench builds one record, the dict that ``--format json`` prints
+under a versioned ``schema`` key; ``main`` prints it, or hands it to the
+command's text renderer, whose output is deterministic.  Polynomials and
+tableaux stay live in the record and become JSON through their
+``to_json_dict`` only when printed.  Record keys that start with an
+underscore hold what only the text shows and are not printed as JSON.
+Exit codes: 0 on success, 1 when a verification suite fails, 2 on
+unusable input.
 """
 
 from __future__ import annotations
@@ -24,13 +29,12 @@ from .basis import (
     characteristic_collision,
     compare_bases,
     generate_basis,
-    leading_rank,
     q_factorial,
     verify_characteristic_uniqueness,
     verify_harmonicity,
     verify_independence,
 )
-from .cvform import CvForm, valid_class
+from .cvform import CvForm, vector_tokens
 from .laplace import (
     derivative_oracle,
     evaluate,
@@ -46,6 +50,7 @@ from .ribbon import (
     enumerate_ribbons,
     enumerate_tableaux,
     flip,
+    render_ribbon,
     render_tableau,
     ribbon_generating_function,
     ribbon_index,
@@ -64,14 +69,7 @@ def _vec(values) -> str:
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    import re
-
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    parts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+    parts = vector_tokens(text, ("()", "[]"))
     if not parts:
         raise ValueError(f"cannot parse vector from {text!r}")
     return tuple(int(p) for p in parts)
@@ -88,8 +86,9 @@ def _parse_order(text: str, n: int) -> tuple[int, ...]:
     return order
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit_json(record: dict) -> None:
+    shown = {k: v for k, v in record.items() if not k.startswith("_")}
+    print(json.dumps(shown, indent=2, default=lambda obj: obj.to_json_dict()))
 
 
 def _schur_annotation(rb) -> str:
@@ -104,89 +103,85 @@ def _schur_annotation(rb) -> str:
     return " * ".join(parts)
 
 
+def _term_records(terms, schur: bool) -> list[dict]:
+    """The ``terms`` list of ``expand``, and with Schur labels of ``eval --trace``."""
+    records = []
+    for rb in terms:
+        rec = {
+            "sign": rb.total_sign,
+            "blocks": [list(b) for b in rb.blocks],
+            "var_partition": [list(v) for v in rb.var_partition],
+        }
+        if schur:
+            rec["schur"] = _schur_annotation(rb)
+        records.append(rec)
+    return records
+
+
 # ---------------------------------------------------------------- commands
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     form = CvForm.parse(args.form)
-    value = evaluate(form)
-    factor, terms = expand_rowblocks(form)
-    if args.format == "json":
-        payload = {
-            "schema": "cvforms.eval/1",
-            "form": str(form),
-            "degree": form.degree(),
-            "polynomial": value.to_json_dict(),
-        }
-        if args.trace:
-            payload["trace"] = {
-                "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
-                "terms": [
-                    {
-                        "sign": rb.total_sign,
-                        "blocks": [list(b) for b in rb.blocks],
-                        "var_partition": [list(v) for v in rb.var_partition],
-                        "schur": _schur_annotation(rb),
-                    }
-                    for rb in terms
-                ],
-            }
-        _emit_json(payload)
-        return 0
-    print(value.canonical_text())
+    record = {
+        "schema": "cvforms.eval/1",
+        "form": str(form),
+        "degree": form.degree(),
+        "polynomial": evaluate(form),
+    }
     if args.trace:
-        blocks = " | ".join(" ".join(f"t{v}" for v in b) for b in factor.vandermonde_blocks)
-        print(f"# expansion of {form} over blocks {blocks}")
+        factor, terms = expand_rowblocks(form)
+        record["trace"] = {
+            "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
+            "terms": _term_records(terms, schur=True),
+        }
+        record["_terms"] = terms
+    return record
+
+
+def text_eval(record: dict, args) -> None:
+    print(record["polynomial"].canonical_text())
+    if args.trace:
+        trace = record["trace"]
+        blocks = " | ".join(" ".join(f"t{v}" for v in b) for b in trace["vandermonde_blocks"])
+        print(f"# expansion of {record['form']} over blocks {blocks}")
         print("# every term carries the Vandermonde factor of each multi-variable block")
-        print(f"# row-blocks ({len(terms)}):")
-        for rb in terms:
-            print(f"# {rb}  =  {'-' if rb.total_sign < 0 else '+'} {_schur_annotation(rb)}")
-    return 0
+        print(f"# row-blocks ({len(trace['terms'])}):")
+        for rb, t in zip(record["_terms"], trace["terms"]):
+            print(f"# {rb}  =  {'-' if rb.total_sign < 0 else '+'} {t['schur']}")
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> dict:
     form = CvForm.parse(args.form)
     factor, terms = expand_rowblocks(form)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.expand/1",
-                "form": str(form),
-                "nvars": form.N,
-                "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
-                "terms": [
-                    {
-                        "sign": rb.total_sign,
-                        "blocks": [list(b) for b in rb.blocks],
-                        "var_partition": [list(v) for v in rb.var_partition],
-                    }
-                    for rb in terms
-                ],
-            }
-        )
-        return 0
-    for rb in terms:
+    return {
+        "schema": "cvforms.expand/1",
+        "form": str(form),
+        "nvars": form.N,
+        "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
+        "terms": _term_records(terms, schur=False),
+        "_terms": terms,
+    }
+
+
+def text_expand(record: dict, args) -> None:
+    for rb in record["_terms"]:
         print(rb)
-    return 0
 
 
-def cmd_type(args) -> int:
+def cmd_type(args) -> dict:
     form = CvForm.parse(args.form)
-    if args.format == "json":
-        _emit_json({"schema": "cvforms.type/1", "form": str(form), "type": list(form.type_of())})
-        return 0
-    print(_vec(form.type_of()))
-    return 0
+    return {"schema": "cvforms.type/1", "form": str(form), "type": list(form.type_of())}
 
 
-def cmd_class(args) -> int:
+def cmd_class(args) -> dict:
     form = CvForm.parse(args.form)
-    cls = form.class_of()
-    if args.format == "json":
-        _emit_json({"schema": "cvforms.class/1", "form": str(form), "class": list(cls)})
-        return 0
-    print(_vec(cls))
-    return 0
+    return {"schema": "cvforms.class/1", "form": str(form), "class": list(form.class_of())}
+
+
+def text_vector(record: dict, args) -> None:
+    """The ``type`` or ``class`` record: its vector, keyed by the command name."""
+    print(_vec(record[args.command]))
 
 
 def _ribbon_record(rib) -> dict:
@@ -201,15 +196,7 @@ def _ribbon_record(rib) -> dict:
     }
 
 
-def _ribbon_line(rib) -> str:
-    sp = to_skew_partition(rib)
-    return (
-        f"class={_vec(rib.class_entries())} index={ribbon_index(rib)} "
-        f"height={rib.height} shape={sp} tableaux={count_syt(sp)}"
-    )
-
-
-def cmd_ribbon(args) -> int:
+def cmd_ribbon(args) -> dict:
     if args.target.isdigit():
         n = int(args.target)
         if n < 1:
@@ -220,49 +207,48 @@ def cmd_ribbon(args) -> int:
             raise ValueError("--degree applies to the N listing, not to a single class")
         ribbons = [class_to_ribbon(_parse_vector(args.target))]
         n = ribbons[0].size
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.ribbon/1",
-                "n": n,
-                "degree": args.degree,
-                "ribbons": [_ribbon_record(r) for r in ribbons],
-            }
+    return {
+        "schema": "cvforms.ribbon/1",
+        "n": n,
+        "degree": args.degree,
+        "ribbons": [_ribbon_record(r) for r in ribbons],
+        "_ribbons": ribbons,
+    }
+
+
+def text_ribbon(record: dict, args) -> None:
+    for rib, rec in zip(record["_ribbons"], record["ribbons"]):
+        print(
+            f"class={_vec(rec['class'])} index={rec['index']} "
+            f"height={rec['height']} shape={to_skew_partition(rib)} tableaux={rec['tableaux']}"
         )
-        return 0
-    for rib in ribbons:
-        print(_ribbon_line(rib))
         if args.diagram:
-            from .ribbon import render_ribbon
-
             print(render_ribbon(rib))
-    return 0
 
 
-def cmd_tableaux(args) -> int:
+def cmd_tableaux(args) -> dict:
     rib = class_to_ribbon(_parse_vector(args.cls))
     tableaux = enumerate_tableaux(rib)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.tableaux/1",
-                "class": list(rib.class_entries()),
-                "count": len(tableaux),
-                "tableaux": [
-                    {"filling": list(t.filling), "form": str(tableau_to_cvform(t))}
-                    for t in tableaux
-                ],
-            }
-        )
-        return 0
-    for t in tableaux:
-        print(f"filling={_vec(t.filling)} form={tableau_to_cvform(t)}")
+    return {
+        "schema": "cvforms.tableaux/1",
+        "class": list(rib.class_entries()),
+        "count": len(tableaux),
+        "tableaux": [
+            {"filling": list(t.filling), "form": str(tableau_to_cvform(t))}
+            for t in tableaux
+        ],
+        "_tableaux": tableaux,
+    }
+
+
+def text_tableaux(record: dict, args) -> None:
+    for tab, rec in zip(record["_tableaux"], record["tableaux"]):
+        print(f"filling={_vec(rec['filling'])} form={rec['form']}")
         if args.diagram:
-            print(render_tableau(t))
-    return 0
+            print(render_tableau(tab))
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> dict:
     n = args.n
     order = _parse_order(args.order, n)
     backward = order == backward_order(n)
@@ -272,72 +258,60 @@ def cmd_basis(args) -> int:
             {"class": list(r.class_entries()), "tableaux": count_syt(to_skew_partition(r))}
             for r in ribbons
         ]
-        total = sum(rec["tableaux"] for rec in records)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema": "cvforms.basis/1",
-                    "n": n,
-                    "degree": args.degree,
-                    "count_only": True,
-                    "classes": records,
-                    "total": total,
-                }
-            )
-            return 0
-        for rec in records:
-            print(f"class={_vec(rec['class'])} tableaux={rec['tableaux']}")
-        print(f"total={total}")
-        return 0
+        return {
+            "schema": "cvforms.basis/1",
+            "n": n,
+            "degree": args.degree,
+            "count_only": True,
+            "classes": records,
+            "total": sum(rec["tableaux"] for rec in records),
+        }
     basis = generate_basis(n, args.degree, order)
-    if args.format == "json":
-        forms = []
-        for bf in basis.forms:
-            rec = {
-                "entries": list(bf.form.entries),
-                "degree": bf.form.degree(),
-                "tableau": bf.tableau.to_json_dict(),
-            }
-            if backward:
-                rec["type"] = list(bf.form.type_of())
-                rec["class"] = list(bf.form.class_of())
-            forms.append(rec)
-        _emit_json(
-            {
-                "schema": "cvforms.basis/1",
-                "n": n,
-                "degree": args.degree,
-                "reading_order": list(order),
-                "forms": forms,
-            }
-        )
-        return 0
-    name = "backward" if backward else _vec(order)
-    print(f"n={n} degree={'all' if args.degree is None else args.degree} order={name} forms={len(basis.forms)}")
+    forms = []
     for bf in basis.forms:
-        line = f"{bf.form} filling={_vec(bf.tableau.filling)}"
+        rec = {
+            "entries": list(bf.form.entries),
+            "degree": bf.form.degree(),
+            "tableau": bf.tableau,
+        }
         if backward:
-            line += f" type={_vec(bf.form.type_of())} class={_vec(bf.form.class_of())}"
+            rec["type"] = list(bf.form.type_of())
+            rec["class"] = list(bf.form.class_of())
+        forms.append(rec)
+    return {
+        "schema": "cvforms.basis/1",
+        "n": n,
+        "degree": args.degree,
+        "reading_order": list(order),
+        "forms": forms,
+    }
+
+
+def text_basis(record: dict, args) -> None:
+    if args.count_only:
+        for rec in record["classes"]:
+            print(f"class={_vec(rec['class'])} tableaux={rec['tableaux']}")
+        print(f"total={record['total']}")
+        return
+    n, order, forms = record["n"], record["reading_order"], record["forms"]
+    name = "backward" if tuple(order) == backward_order(n) else _vec(order)
+    print(f"n={n} degree={'all' if args.degree is None else args.degree} order={name} forms={len(forms)}")
+    for rec in forms:
+        line = f"{CvForm(rec['entries'])} filling={_vec(rec['tableau'].filling)}"
+        if "type" in rec:
+            line += f" type={_vec(rec['type'])} class={_vec(rec['class'])}"
         print(line)
-    return 0
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> dict:
     n = args.n
+    record = {"schema": "cvforms.count/1", "n": n}
     if args.what == "mahonian":
-        coeffs = q_factorial(n)
-        if args.format == "json":
-            _emit_json({"schema": "cvforms.count/1", "n": n, "mahonian": coeffs})
-            return 0
-        print(" ".join(str(c) for c in coeffs))
-        return 0
+        record["mahonian"] = q_factorial(n)
+        return record
     if args.what == "ribbons":
-        total = len(enumerate_ribbons(n))
-        if args.format == "json":
-            _emit_json({"schema": "cvforms.count/1", "n": n, "ribbons": total})
-            return 0
-        print(total)
-        return 0
+        record["ribbons"] = len(enumerate_ribbons(n))
+        return record
     # generating function of ribbon indices and heights
     gf = ribbon_generating_function(n)
     by_degree: dict[int, dict[int, int]] = {}
@@ -348,25 +322,22 @@ def cmd_count(args) -> int:
         degrees = [int(at)]
     else:
         degrees = sorted(by_degree)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.count/1",
-                "n": n,
-                "gf": [
-                    {"q": d, "t": [{"power": l, "coeff": c} for l, c in sorted(by_degree.get(d, {}).items(), reverse=True)]}
-                    for d in degrees
-                ],
-            }
-        )
-        return 0
-    for d in degrees:
-        poly = _format_t_poly(by_degree.get(d, {}))
-        if args.at is not None:
-            print(poly)
-        else:
-            print(f"q^{d}: {poly}")
-    return 0
+    record["gf"] = [
+        {"q": d, "t": [{"power": l, "coeff": c} for l, c in sorted(by_degree.get(d, {}).items(), reverse=True)]}
+        for d in degrees
+    ]
+    return record
+
+
+def text_count(record: dict, args) -> None:
+    if args.what == "mahonian":
+        print(" ".join(str(c) for c in record["mahonian"]))
+    elif args.what == "ribbons":
+        print(record["ribbons"])
+    else:
+        for entry in record["gf"]:
+            poly = _format_t_poly({t["power"]: t["coeff"] for t in entry["t"]})
+            print(poly if args.at is not None else f"q^{entry['q']}: {poly}")
 
 
 def _format_t_poly(coeffs: dict[int, int]) -> str:
@@ -421,28 +392,13 @@ def _run_tasks(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
 
 
-def _verify_payload(args, suite: str, lines: list[str], checks: dict, ok: bool) -> int:
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.verify/1",
-                "suite": suite,
-                "n": args.n,
-                "checks": checks,
-                "ok": ok,
-            }
-        )
-    else:
-        for line in lines:
-            print(line)
-        print(f"result: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     n = args.n
     suite = args.suite
     jobs = _worker_count(args.jobs)
+    if args.degree is not None and suite != "rank":
+        raise ValueError("--degree applies to the rank suite only")
+    listing: list[str] = []
     if suite == "oracle":
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -457,48 +413,29 @@ def cmd_verify(args) -> int:
         bad = [(e, witness) for e, witness in results if witness is not None]
         for _, witness in bad[:10]:
             print(witness, file=sys.stderr)
-        lines = [
-            f"suite: oracle n={n} ({source})",
-            f"forms checked: {len(forms)}",
-            f"mismatches: {len(bad)}",
-        ]
-        lines.extend(f"mismatch: {CvForm(e)}" for e, _ in bad[:10])
+        listing = [f"mismatch: {CvForm(e)}" for e, _ in bad[:10]]
         checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
-        return _verify_payload(args, suite, lines, checks, not bad)
-    if suite == "rank":
+        ok = not bad
+    elif suite == "rank":
         basis = generate_basis(n, args.degree)
-        expected = len(basis.forms)
-        if args.leading_only:
-            rank = leading_rank(basis)
-            mode = "leading row-blocks"
-            ok = rank == expected
-        else:
-            rank, ok = verify_independence(basis)
-            mode = "full expansion"
-        lines = [
-            f"suite: rank n={n} degree={'all' if args.degree is None else args.degree} ({mode})",
-            f"forms: {expected}",
-            f"rank: {rank}",
-        ]
-        checks = {"forms": expected, "rank": rank, "mode": mode}
-        return _verify_payload(args, suite, lines, checks, ok)
-    if suite == "harmonic":
+        rank, ok = verify_independence(basis)
+        checks = {"forms": len(basis.forms), "rank": rank, "mode": "full expansion"}
+    elif suite == "harmonic":
         if args.kmax is not None and args.kmax < 1:
             raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
+        if args.kmax is not None and args.kmax > n - 1:
+            if n < 2:
+                raise ValueError(f"--kmax does not apply at N={n}")
+            raise ValueError(f"--kmax must be between 1 and {n - 1}, got {args.kmax}")
         kmax = args.kmax if args.kmax is not None else n - 1
         basis = generate_basis(n)
         tasks = [(bf.form.entries, kmax) for bf in basis.forms]
         results = _run_tasks(_harmonic_check, tasks, jobs)
         bad = [e for e, ok in results if not ok]
-        lines = [
-            f"suite: harmonic n={n} kmax={kmax}",
-            f"forms checked: {len(tasks)}",
-            f"failures: {len(bad)}",
-        ]
-        lines.extend(f"failure: {CvForm(e)}" for e in bad[:10])
+        listing = [f"failure: {CvForm(e)}" for e in bad[:10]]
         checks = {"forms": len(tasks), "kmax": kmax, "failures": len(bad)}
-        return _verify_payload(args, suite, lines, checks, not bad)
-    if suite == "flip":
+        ok = not bad
+    elif suite == "flip":
         basis = generate_basis(n)
         all_forms = {bf.form for bf in basis.forms}
         top = n * (n - 1) // 2
@@ -515,14 +452,6 @@ def cmd_verify(args) -> int:
                 moved += 1
         total = len(basis.forms)
         ok = involution == complement == member == moved == total
-        lines = [
-            f"suite: flip n={n}",
-            f"tableaux: {total}",
-            f"involution holds: {involution}",
-            f"degree complements to {top}: {complement}",
-            f"flipped form in basis: {member}",
-            f"shape never fixed: {moved}",
-        ]
         checks = {
             "tableaux": total,
             "involution": involution,
@@ -530,38 +459,64 @@ def cmd_verify(args) -> int:
             "member": member,
             "moved": moved,
         }
-        return _verify_payload(args, suite, lines, checks, ok)
-    if suite == "chars":
+    elif suite == "chars":
         basis = generate_basis(n)
         ok = verify_characteristic_uniqueness(basis)
         if not ok:
             a, b, exps = characteristic_collision(basis)
             monomial = Polynomial.monomial(n, exps).canonical_text()
             print(f"witness: {a} and {b} share the characteristic monomial {monomial}", file=sys.stderr)
-        lines = [
-            f"suite: chars n={n}",
-            f"forms: {len(basis.forms)}",
-            f"characteristic monomials pairwise distinct: {ok}",
-        ]
         checks = {"forms": len(basis.forms), "distinct": ok}
-        return _verify_payload(args, suite, lines, checks, ok)
-    if suite == "orders":
+    else:  # orders; argparse admits no other suite
         orders = list(itertools.permutations(range(1, n + 1)))
         report = compare_bases(n, orders)
-        lines = [f"suite: orders n={n}", f"reading orders: {len(orders)}"]
-        lines.extend(
-            f"order={_vec(r['order'])} forms={r['forms']} rank={r['rank']}"
-            for r in report["bases"]
-        )
         checks = {"orders": len(orders), "bases": report["bases"]}
-        return _verify_payload(args, suite, lines, checks, report["ok"])
-    raise ValueError(f"unknown suite {suite!r}")
+        ok = report["ok"]
+    record = {"schema": "cvforms.verify/1", "suite": suite, "n": n, "checks": checks, "ok": ok}
+    if listing:
+        record["_listing"] = listing
+    return record
+
+
+# the report lines of each suite, filled in from its checks
+_VERIFY_LINES = {
+    "oracle": ("suite: oracle n={n} ({source})", "forms checked: {forms}", "mismatches: {mismatches}"),
+    "rank": ("suite: rank n={n} degree={degree} ({mode})", "forms: {forms}", "rank: {rank}"),
+    "harmonic": ("suite: harmonic n={n} kmax={kmax}", "forms checked: {forms}", "failures: {failures}"),
+    "flip": (
+        "suite: flip n={n}",
+        "tableaux: {tableaux}",
+        "involution holds: {involution}",
+        "degree complements to {top}: {complement}",
+        "flipped form in basis: {member}",
+        "shape never fixed: {moved}",
+    ),
+    "chars": ("suite: chars n={n}", "forms: {forms}", "characteristic monomials pairwise distinct: {distinct}"),
+    "orders": ("suite: orders n={n}", "reading orders: {orders}"),
+}
+
+
+def text_verify(record: dict, args) -> None:
+    n, checks = record["n"], record["checks"]
+    degree = "all" if args.degree is None else args.degree
+    for line in _VERIFY_LINES[record["suite"]]:
+        print(line.format(n=n, degree=degree, top=n * (n - 1) // 2, **checks))
+    for r in checks.get("bases", ()):
+        print(f"order={_vec(r['order'])} forms={r['forms']} rank={r['rank']}")
+    for line in record.get("_listing", ()):
+        print(line)
+    print(f"result: {'PASS' if record['ok'] else 'FAIL'}")
 
 
 # ---------------------------------------------------------------- flip
 
 
-def cmd_flip(args) -> int:
+def _flip_side(tab: SkewTableau) -> dict:
+    form = tableau_to_cvform(tab)
+    return {"form": str(form), "degree": form.degree(), "tableau": tab}
+
+
+def cmd_flip(args) -> dict:
     text = args.input
     if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -573,30 +528,15 @@ def cmd_flip(args) -> int:
         tab = SkewTableau.from_json_dict(json.loads(body))
     else:
         tab = tableau_from_cvform(CvForm.parse(body))
-    flipped = flip(tab)
-    form, fform = tableau_to_cvform(tab), tableau_to_cvform(flipped)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": "cvforms.flip/1",
-                "original": {
-                    "form": str(form),
-                    "degree": form.degree(),
-                    "tableau": tab.to_json_dict(),
-                },
-                "flipped": {
-                    "form": str(fform),
-                    "degree": fform.degree(),
-                    "tableau": flipped.to_json_dict(),
-                },
-            }
-        )
-        return 0
-    print(f"original form: {form} degree={form.degree()} type={_vec(tableau_to_type(tab))}")
-    print(render_tableau(tab))
-    print(f"flipped form: {fform} degree={fform.degree()} type={_vec(tableau_to_type(flipped))}")
-    print(render_tableau(flipped))
-    return 0
+    return {"schema": "cvforms.flip/1", "original": _flip_side(tab), "flipped": _flip_side(flip(tab))}
+
+
+def text_flip(record: dict, args) -> None:
+    for side in ("original", "flipped"):
+        rec = record[side]
+        tab = rec["tableau"]
+        print(f"{side} form: {rec['form']} degree={rec['degree']} type={_vec(tableau_to_type(tab))}")
+        print(render_tableau(tab))
 
 
 # ---------------------------------------------------------------- bench
@@ -610,9 +550,11 @@ def _leibniz_nonzero(form: CvForm) -> int:
     return count
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if args.max < args.min:
+        raise ValueError(f"--max must be at least --min, got --min {args.min} --max {args.max}")
     forms: list[CvForm] = [CvForm.parse(f) for f in args.form or []]
     rng = random.Random(args.seed)
     for n in range(args.min, args.max + 1):
@@ -637,7 +579,6 @@ def cmd_bench(args) -> int:
             f"{form},{form.N},{math.factorial(form.N)},{_leibniz_nonzero(form)},"
             f"{len(terms)},{t2 - t1:.6f},{t1 - t0:.6f}"
         )
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -650,57 +591,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add_output(p, func, render):
+        """``--format``, the command's record builder and its text renderer."""
         p.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+        p.set_defaults(func=func, render=render)
 
     p = sub.add_parser("eval", help="evaluate a form to its exact polynomial")
     p.add_argument("form", help="form literal, e.g. '[2 2 3 3]' or '2,2,3,3'")
     p.add_argument("--trace", action="store_true", help="include the signed row-block expansion")
-    add_format(p)
-    p.set_defaults(func=cmd_eval)
+    add_output(p, cmd_eval, text_eval)
 
     p = sub.add_parser("expand", help="signed row-block expansion of a form")
     p.add_argument("form")
-    add_format(p)
-    p.set_defaults(func=cmd_expand)
+    add_output(p, cmd_expand, text_expand)
 
     p = sub.add_parser("type", help="type vector of a form")
     p.add_argument("form")
-    add_format(p)
-    p.set_defaults(func=cmd_type)
+    add_output(p, cmd_type, text_vector)
 
     p = sub.add_parser("class", help="class vector of a regular form")
     p.add_argument("form")
-    add_format(p)
-    p.set_defaults(func=cmd_class)
+    add_output(p, cmd_class, text_vector)
 
     p = sub.add_parser("ribbon", help="list ribbons for N boxes, or show one class")
     p.add_argument("target", help="box count N, or a class vector such as '[4 4 3 2 1 1 1 0]'")
     p.add_argument("--degree", type=int, default=None, help="restrict the listing to one index")
     p.add_argument("--diagram", action="store_true", help="draw ASCII diagrams")
-    add_format(p)
-    p.set_defaults(func=cmd_ribbon)
+    add_output(p, cmd_ribbon, text_ribbon)
 
     p = sub.add_parser("tableaux", help="standard tableaux of a ribbon class")
     p.add_argument("cls", metavar="class", help="class vector")
     p.add_argument("--diagram", action="store_true")
-    add_format(p)
-    p.set_defaults(func=cmd_tableaux)
+    add_output(p, cmd_tableaux, text_tableaux)
 
     p = sub.add_parser("basis", help="tableau basis of harmonic forms")
     p.add_argument("n", type=int)
     p.add_argument("--degree", type=int, default=None, help="one graded slice only")
     p.add_argument("--order", default="backward", help="reading order: backward, identity, or a permutation")
     p.add_argument("--count-only", action="store_true", help="per-class tableau counts, no enumeration")
-    add_format(p)
-    p.set_defaults(func=cmd_basis)
+    add_output(p, cmd_basis, text_basis)
 
     p = sub.add_parser("count", help="counting tables")
     p.add_argument("n", type=int)
     p.add_argument("what", choices=("mahonian", "ribbons", "gf"))
     p.add_argument("--at", default=None, help="single coefficient of the gf, e.g. q^16")
-    add_format(p)
-    p.set_defaults(func=cmd_count)
+    add_output(p, cmd_count, text_count)
 
     p = sub.add_parser("verify", help="verification suites (exit 1 on failure)")
     p.add_argument("n", type=int)
@@ -710,15 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes for per-form checks")
     p.add_argument("--kmax", type=int, default=None, help="largest power sum order (harmonic)")
     p.add_argument("--degree", type=int, default=None, help="restrict rank suite to one slice")
-    p.add_argument("--leading-only", action="store_true", help="rank of leading row-blocks only")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    add_output(p, cmd_verify, text_verify)
 
     p = sub.add_parser("flip", help="reflect a standard tableau across the skew diagonal")
     p.add_argument("input", nargs="?", default=None, help="standard form literal or tableau JSON")
     p.add_argument("--file", default=None, help="read the tableau JSON from a file")
-    add_format(p)
-    p.set_defaults(func=cmd_flip)
+    add_output(p, cmd_flip, text_flip)
 
     p = sub.add_parser("bench", help="term counts and wall times, CSV on stdout")
     p.add_argument("--min", type=int, default=3)
@@ -739,13 +671,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
-    except ValueError as exc:
+        record = args.func(args)
+        if record is None:  # bench writes its own CSV
+            return 0
+        if args.format == "json":
+            _emit_json(record)
+        else:
+            args.render(record, args)
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0 if record.get("ok", True) else 1
 
 
 if __name__ == "__main__":

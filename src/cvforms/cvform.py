@@ -28,6 +28,19 @@ def permutation_sign(perm) -> int:
     return -1 if inversions % 2 else 1
 
 
+def vector_tokens(text: str, brackets=("[]",)) -> list[str]:
+    """The comma- or space-separated tokens of a vector literal.
+
+    Each bracket pair in ``brackets``, in turn, is stripped when it
+    encloses the whole text.
+    """
+    body = text.strip()
+    for pair in brackets:
+        if body.startswith(pair[0]) and body.endswith(pair[1]):
+            body = body[1:-1]
+    return [p for p in re.split(r"[,\s]+", body.strip()) if p]
+
+
 def valid_class(entries) -> bool:
     """True when ``entries`` is a class vector.
 
@@ -63,10 +76,7 @@ class CvForm:
     @classmethod
     def parse(cls, text: str) -> "CvForm":
         """Accepts ``[2 2 3 3]``, ``2,2,3,3`` or ``2 2 3 3``."""
-        body = text.strip()
-        if body.startswith("[") and body.endswith("]"):
-            body = body[1:-1]
-        parts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
+        parts = vector_tokens(text)
         if not parts:
             raise ValueError(f"cannot parse form from {text!r}")
         try:

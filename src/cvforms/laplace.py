@@ -27,31 +27,6 @@ from .cvform import CvForm, permutation_sign, valid_class
 from .poly import Polynomial
 
 
-def shuffles(composition) -> list[tuple[int, ...]]:
-    """All shuffle permutations of ``1..N`` for a composition of N.
-
-    A shuffle concatenates ascending runs over disjoint index sets whose
-    sizes follow the composition; there are multinomial-many of them.
-    Enumeration order is lexicographic on the successive index sets.
-    """
-    parts = tuple(composition)
-    if not parts or any(m < 1 for m in parts):
-        raise ValueError(f"composition parts must be positive, got {parts}")
-    n = sum(parts)
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: list[int], prefix: list[int], idx: int) -> None:
-        if idx == len(parts):
-            out.append(tuple(prefix))
-            return
-        for combo in itertools.combinations(remaining, parts[idx]):
-            rest = [x for x in remaining if x not in combo]
-            rec(rest, prefix + list(combo), idx + 1)
-
-    rec(list(range(1, n + 1)), [], 0)
-    return out
-
-
 @dataclass(frozen=True)
 class DecodingTable:
     """Descending power runs of a sorted zero-free form.
@@ -67,16 +42,6 @@ class DecodingTable:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def row(self, j: int) -> tuple[int, ...]:
-        return tuple(range(self.values[j], -1, -1))
-
-    def render(self) -> str:
-        header = " | ".join(" ".join(f"t{v}" for v in blk) for blk in self.blocks)
-        lines = [header]
-        for j in range(len(self.values)):
-            lines.append(" ".join(str(p) for p in self.row(j)))
-        return "\n".join(lines)
 
 
 def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
@@ -235,7 +200,8 @@ def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
 
     The product of the block alternants divided by the factorials of the
     powers; this already carries the common Vandermonde factors of each
-    variable group.  ``total_sign`` is deliberately not applied.
+    variable group.  ``total_sign`` is deliberately not applied.  A slow
+    reference for ``evaluate``: the signed row-block values sum to it.
     """
     if len(rb.blocks) != len(rb.var_partition):
         raise ValueError("power blocks and variable partition disagree")

@@ -62,9 +62,6 @@ class Ribbon:
     def class_entries(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.boxes)
 
-    def to_json_dict(self) -> dict:
-        return {"boxes": [list(b) for b in self.boxes]}
-
 
 def class_to_ribbon(class_entries) -> Ribbon:
     """Ribbon of a class vector; box i at (k_i, k_i + i - 1)."""

@@ -16,20 +16,25 @@ from cvforms import (
     CvForm,
     Polynomial,
     backward_order,
-    coefficient_matrix,
     compare_bases,
     evaluate,
     flip,
     fraction_free_rank,
     generate_basis,
-    leading_rank,
     q_factorial,
     tableau_to_cvform,
     verify_characteristic_uniqueness,
     verify_harmonicity,
     verify_independence,
 )
-from cvforms.basis import _PRIME, _certified_rank, _rank_mod_p, characteristic_collision
+from cvforms.basis import (
+    _PRIME,
+    _certified_rank,
+    _integer_rows,
+    _rank_mod_p,
+    characteristic_collision,
+    coefficient_matrix,
+)
 from cvforms.laplace import _integer_value
 from cvforms.ribbon import enumerate_tableaux, ribbons_of_degree
 
@@ -275,16 +280,10 @@ class TestIndependence:
         # the degree-five syzygy makes any 4 forms of degree 5 at N=4 dependent
         forms = [CvForm(e) for e in [(2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]]
         matrix = coefficient_matrix([evaluate(f) for f in forms])
-        from cvforms.basis import _integer_rows
-
         assert fraction_free_rank(_integer_rows(matrix)) == 3
         assert _certified_rank(_integer_value(f)[0] for f in forms) == 3
         basis = Basis(4, 5, backward_order(4), tuple(BasisForm(f, None) for f in forms))
         assert verify_independence(basis) == (3, False)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_leading_rank_full(self, n):
-        assert leading_rank(generate_basis(n)) == math.factorial(n)
 
 
 class TestCharacteristicUniqueness:

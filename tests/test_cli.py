@@ -234,10 +234,23 @@ class TestVerify:
         assert code == 0
         assert "rank: 24" in out
 
-    def test_rank_leading_only(self, capsys):
-        code, out, _ = run(["verify", "4", "rank", "--leading-only"], capsys)
+    def test_leading_only_flag_is_gone(self, capsys):
+        code, out, err = run(["verify", "4", "rank", "--leading-only"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --leading-only" in err
+
+    @pytest.mark.parametrize("suite", ["oracle", "harmonic", "flip", "chars", "orders"])
+    def test_degree_outside_rank_suite_exits_two(self, suite, capsys):
+        code, out, err = run(["verify", "2", suite, "--degree", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --degree applies to the rank suite only\n"
+
+    def test_rank_degree_slice(self, capsys):
+        code, out, _ = run(["verify", "4", "rank", "--degree", "3"], capsys)
         assert code == 0
-        assert "leading row-blocks" in out
+        assert out.splitlines()[:3] == ["suite: rank n=4 degree=3 (full expansion)", "forms: 6", "rank: 6"]
 
     def test_harmonic(self, capsys):
         code, out, _ = run(["verify", "3", "harmonic"], capsys)
@@ -335,6 +348,24 @@ class TestVerify:
         assert out == ""
         assert err == f"error: --kmax must be at least 1, got {kmax}\n"
 
+    @pytest.mark.parametrize("kmax", ["4", "9"])
+    def test_kmax_above_n_minus_one_exits_two(self, kmax, capsys):
+        code, out, err = run(["verify", "4", "harmonic", "--kmax", kmax], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --kmax must be between 1 and 3, got {kmax}\n"
+
+    def test_no_kmax_applies_at_one_variable(self, capsys):
+        code, out, err = run(["verify", "1", "harmonic", "--kmax", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --kmax does not apply at N=1\n"
+
+    def test_kmax_at_n_minus_one_passes(self, capsys):
+        code, out, _ = run(["verify", "4", "harmonic", "--kmax", "3"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "suite: harmonic n=4 kmax=3"
+
     def test_harmonic_default_kmax_for_one_variable(self, capsys):
         code, out, _ = run(["verify", "1", "harmonic"], capsys)
         assert code == 0
@@ -418,6 +449,12 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert err == "error: --samples must be at least 0, got -1\n"
+
+    def test_max_below_min_exits_two(self, capsys):
+        code, out, err = run(["bench", "--min", "3", "--max", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --max must be at least --min, got --min 3 --max 2\n"
 
     def test_sampling_is_seeded(self, capsys):
         code1, out1, _ = run(["bench", "--max", "4", "--samples", "2"], capsys)

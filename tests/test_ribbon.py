@@ -94,10 +94,6 @@ class TestRibbonShape:
         for n in range(1, 9):
             assert len(enumerate_ribbons(n)) == 2 ** (n - 1)
 
-    def test_json_round_trip(self):
-        r = class_to_ribbon(GOLDEN_CLASS)
-        assert Ribbon(tuple(tuple(b) for b in r.to_json_dict()["boxes"])) == r
-
 
 class TestSkewPartition:
     def test_golden_shape(self):
