@@ -1,14 +1,14 @@
 """Command line front end.
 
 Subcommands cover evaluation (eval, expand, type, class), combinatorics
-(ribbon, tableaux, basis, count), verification suites (verify), the
-tableau involution (flip) and a micro benchmark (bench).  Each command
-except bench builds one record, the dict that ``--format json`` prints
-under a versioned ``schema`` key; ``main`` prints it, or hands it to the
-command's text renderer, whose output is deterministic.  Polynomials and
-tableaux stay live in the record and become JSON through their
-``to_json_dict`` only when printed.  Record keys that start with an
-underscore hold what only the text shows and are not printed as JSON.
+(ribbon, tableaux, basis, count), verification suites (verify) and the
+tableau involution (flip).  Each command builds one record, the dict
+that ``--format json`` prints under a versioned ``schema`` key; ``main``
+prints it, or hands it to the command's text renderer, whose output is
+deterministic.  Polynomials and tableaux stay live in the record and
+become JSON through their ``to_json_dict`` only when printed.  Record
+keys that start with an underscore hold what only the text shows and are
+not printed as JSON.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on
 unusable input.
 """
@@ -18,12 +18,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
-import os
 import random
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .basis import (
     characteristic_collision,
@@ -46,7 +42,7 @@ from .ribbon import (
     SkewTableau,
     backward_order,
     class_to_ribbon,
-    count_syt,
+    count_tableaux,
     enumerate_ribbons,
     enumerate_tableaux,
     flip,
@@ -192,7 +188,7 @@ def _ribbon_record(rib) -> dict:
         "index": ribbon_index(rib),
         "height": rib.height,
         "shape": {"lam": list(sp.lam), "mu": list(sp.mu)},
-        "tableaux": count_syt(sp),
+        "tableaux": count_tableaux(rib),
     }
 
 
@@ -255,7 +251,7 @@ def cmd_basis(args) -> dict:
     if args.count_only:
         ribbons = ribbons_of_degree(n, args.degree) if args.degree is not None else enumerate_ribbons(n)
         records = [
-            {"class": list(r.class_entries()), "tableaux": count_syt(to_skew_partition(r))}
+            {"class": list(r.class_entries()), "tableaux": count_tableaux(r)}
             for r in ribbons
         ]
         return {
@@ -357,12 +353,11 @@ def _format_t_poly(coeffs: dict[int, int]) -> str:
 # ---------------------------------------------------------------- verify
 
 
-def _oracle_check(entries: tuple[int, ...]) -> tuple[tuple[int, ...], str | None]:
-    """The form and, when the three values differ, a witness line for stderr."""
-    form = CvForm(entries)
+def _oracle_check(form: CvForm) -> str | None:
+    """A witness line for stderr when the three values of the form differ."""
     values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
     if values[0] == values[1] == values[2]:
-        return entries, None
+        return None
     differing = {e for v in values for e in v.terms if len({w.terms.get(e, 0) for w in values}) > 1}
     exps = min(differing, key=_term_key)
     coeffs = ", ".join(
@@ -370,32 +365,14 @@ def _oracle_check(entries: tuple[int, ...]) -> tuple[tuple[int, ...], str | None
         for name, v in zip(("evaluate", "naive_oracle", "derivative_oracle"), values)
     )
     monomial = Polynomial.monomial(form.N, exps).canonical_text()
-    return entries, f"witness: {form} first differs at {monomial}: {coeffs}"
-
-
-def _harmonic_check(task: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], bool]:
-    entries, kmax = task
-    return entries, verify_harmonicity(CvForm(entries), kmax)["ok"]
-
-
-def _worker_count(jobs: int) -> int:
-    """Validated ``--jobs``: at least 1, at most the number of CPUs."""
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
-
-
-def _run_tasks(worker, tasks, jobs: int):
-    if jobs <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs) or 1)))
+    return f"witness: {form} first differs at {monomial}: {coeffs}"
 
 
 def cmd_verify(args) -> dict:
     n = args.n
     suite = args.suite
-    jobs = _worker_count(args.jobs)
+    if n < 1:
+        raise ValueError("need at least one box")
     if args.degree is not None and suite != "rank":
         raise ValueError("--degree applies to the rank suite only")
     listing: list[str] = []
@@ -403,17 +380,16 @@ def cmd_verify(args) -> dict:
         if args.samples < 1:
             raise ValueError(f"--samples must be at least 1, got {args.samples}")
         if n <= 4:
-            forms = [tuple(e) for e in itertools.product(range(n), repeat=n)]
+            forms = [CvForm(e) for e in itertools.product(range(n), repeat=n)]
             source = f"exhaustive {n}^{n}"
         else:
             rng = random.Random(args.seed)
-            forms = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(args.samples)]
+            forms = [CvForm(tuple(rng.randrange(n) for _ in range(n))) for _ in range(args.samples)]
             source = f"{args.samples} seeded samples (seed {args.seed})"
-        results = _run_tasks(_oracle_check, forms, jobs)
-        bad = [(e, witness) for e, witness in results if witness is not None]
+        bad = [(form, witness) for form in forms if (witness := _oracle_check(form)) is not None]
         for _, witness in bad[:10]:
             print(witness, file=sys.stderr)
-        listing = [f"mismatch: {CvForm(e)}" for e, _ in bad[:10]]
+        listing = [f"mismatch: {form}" for form, _ in bad[:10]]
         checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
         ok = not bad
     elif suite == "rank":
@@ -429,11 +405,9 @@ def cmd_verify(args) -> dict:
             raise ValueError(f"--kmax must be between 1 and {n - 1}, got {args.kmax}")
         kmax = args.kmax if args.kmax is not None else n - 1
         basis = generate_basis(n)
-        tasks = [(bf.form.entries, kmax) for bf in basis.forms]
-        results = _run_tasks(_harmonic_check, tasks, jobs)
-        bad = [e for e, ok in results if not ok]
-        listing = [f"failure: {CvForm(e)}" for e in bad[:10]]
-        checks = {"forms": len(tasks), "kmax": kmax, "failures": len(bad)}
+        bad = [bf.form for bf in basis.forms if not verify_harmonicity(bf.form, kmax)["ok"]]
+        listing = [f"failure: {form}" for form in bad[:10]]
+        checks = {"forms": len(basis.forms), "kmax": kmax, "failures": len(bad)}
         ok = not bad
     elif suite == "flip":
         basis = generate_basis(n)
@@ -451,7 +425,8 @@ def cmd_verify(args) -> dict:
             if ft.ribbon != bf.tableau.ribbon:
                 moved += 1
         total = len(basis.forms)
-        ok = involution == complement == member == moved == total
+        # flip swaps every step, so only the stepless one-box ribbon is fixed
+        ok = involution == complement == member == total and moved == (total if n > 1 else 0)
         checks = {
             "tableaux": total,
             "involution": involution,
@@ -539,48 +514,6 @@ def text_flip(record: dict, args) -> None:
         print(render_tableau(tab))
 
 
-# ---------------------------------------------------------------- bench
-
-
-def _leibniz_nonzero(form: CvForm) -> int:
-    caps = sorted(e + 1 for e in form.entries)
-    count = 1
-    for slot, cap in enumerate(caps):
-        count *= max(0, cap - slot)
-    return count
-
-
-def cmd_bench(args) -> None:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
-    if args.max < args.min:
-        raise ValueError(f"--max must be at least --min, got --min {args.min} --max {args.max}")
-    forms: list[CvForm] = [CvForm.parse(f) for f in args.form or []]
-    rng = random.Random(args.seed)
-    for n in range(args.min, args.max + 1):
-        picked = 0
-        while picked < args.samples:
-            cand = CvForm(tuple(rng.randrange(n) for _ in range(n)))
-            if args.regular and not cand.is_regular():
-                continue
-            forms.append(cand)
-            picked += 1
-    print("form,n,leibniz_total,leibniz_nonzero,rowblocks,naive_seconds,blocks_seconds")
-    for form in forms:
-        t0 = time.perf_counter()
-        value = evaluate(form)
-        t1 = time.perf_counter()
-        check = naive_oracle(form)
-        t2 = time.perf_counter()
-        if value != check:
-            raise AssertionError(f"strategy mismatch on {form}")
-        _, terms = expand_rowblocks(form)
-        print(
-            f"{form},{form.N},{math.factorial(form.N)},{_leibniz_nonzero(form)},"
-            f"{len(terms)},{t2 - t1:.6f},{t1 - t0:.6f}"
-        )
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -642,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("oracle", "rank", "harmonic", "flip", "chars", "orders"))
     p.add_argument("--samples", type=int, default=200, help="random forms when N > 4 (oracle)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for per-form checks")
     p.add_argument("--kmax", type=int, default=None, help="largest power sum order (harmonic)")
     p.add_argument("--degree", type=int, default=None, help="restrict rank suite to one slice")
     add_output(p, cmd_verify, text_verify)
@@ -651,15 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default=None, help="standard form literal or tableau JSON")
     p.add_argument("--file", default=None, help="read the tableau JSON from a file")
     add_output(p, cmd_flip, text_flip)
-
-    p = sub.add_parser("bench", help="term counts and wall times, CSV on stdout")
-    p.add_argument("--min", type=int, default=3)
-    p.add_argument("--max", type=int, default=5)
-    p.add_argument("--samples", type=int, default=5, help="random forms per size")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--regular", action="store_true", help="sample regular forms only")
-    p.add_argument("--form", action="append", help="benchmark this form too (repeatable)")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -672,8 +595,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record = args.func(args)
-        if record is None:  # bench writes its own CSV
-            return 0
         if args.format == "json":
             _emit_json(record)
         else:

@@ -200,6 +200,24 @@ class SkewTableau:
             raise ValueError(f"malformed tableau JSON: {exc}") from None
 
 
+def _completions(steps: tuple[str, ...]) -> list[list[int]]:
+    """Completion counts: row p, entry j counts the ways to complete a
+    word of length p + 1 whose last value exceeds exactly j of the still
+    unused values.  Filled backwards from the last box, each row is one
+    prefix sum over the next.
+    """
+    completions = [[1]]
+    for step in reversed(steps):
+        below = list(itertools.accumulate(completions[0], initial=0))
+        completions.insert(0, [below[-1] - b for b in below] if step == RIGHT else below)
+    return completions
+
+
+def count_tableaux(r: Ribbon) -> int:
+    """Number of standard fillings, in O(N^2) from the completion counts."""
+    return sum(_completions(r.steps())[0])
+
+
 def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:
     """All standard fillings, lexicographic on the filling word.
 
@@ -211,20 +229,11 @@ def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:
     """
     n = r.size
     steps = r.steps()
-    # completes[p][j]: a word of length p + 1 whose last value exceeds
-    # exactly j of the still unused values can be completed; filled
-    # backwards from the last box
-    completes = [[True] for _ in range(n)]
-    for p in range(n - 2, -1, -1):
-        later = completes[p + 1]
-        if steps[p] == RIGHT:
-            completes[p] = [any(later[j:]) for j in range(n - p)]
-        else:
-            completes[p] = [any(later[:j]) for j in range(n - p)]
+    completions = _completions(steps)
     values = tuple(range(1, n + 1))
-    level = [((v,), values[:v - 1] + values[v:]) for v in values if completes[0][v - 1]]
+    level = [((v,), values[:v - 1] + values[v:]) for v in values if completions[0][v - 1]]
     for p, step in enumerate(steps, start=1):
-        fits = completes[p]
+        fits = completions[p]
         grown = []
         for word, unused in level:
             cut = bisect(unused, word[-1])

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,11 @@ class TestEval:
         assert data["degree"] == 1
         assert len(data["polynomial"]["terms"]) == 2
 
+    def test_monomial_count(self, capsys):
+        code, out, _ = run(["eval", "[2 2 4 4 5 5]", "--format", "json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["polynomial"]["terms"]) == 72
+
     def test_bad_form_exits_two(self, capsys):
         code, out, err = run(["eval", "[9 9]"], capsys)
         assert code == 2
@@ -69,6 +75,7 @@ class TestExpand:
         code, out, _ = run(["expand", "[2 2 4 4 5 5]"], capsys)
         assert code == 0
         assert out == EXPECTED_EXPAND
+        assert len(out.splitlines()) == 9
 
     def test_json(self, capsys):
         code, out, _ = run(["expand", "[2 2 3 3]", "--format", "json"], capsys)
@@ -260,7 +267,34 @@ class TestVerify:
     def test_flip_suite(self, capsys):
         code, out, _ = run(["verify", "4", "flip"], capsys)
         assert code == 0
-        assert "involution holds: 24" in out
+        assert out.splitlines() == [
+            "suite: flip n=4",
+            "tableaux: 24",
+            "involution holds: 24",
+            "degree complements to 6: 24",
+            "flipped form in basis: 24",
+            "shape never fixed: 24",
+            "result: PASS",
+        ]
+
+    def test_flip_suite_one_box(self, capsys):
+        # the one-box ribbon has no step to swap, so flip fixes its shape
+        code, out, _ = run(["verify", "1", "flip"], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["shape never fixed: 0", "result: PASS"]
+        code, out, _ = run(["verify", "1", "flip", "--format", "json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["checks"]["moved"] == 0
+        assert data["ok"] is True
+
+    @pytest.mark.parametrize("suite", ["oracle", "rank", "harmonic", "flip", "chars", "orders"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_boxes_exits_two(self, n, suite, capsys):
+        code, out, err = run(["verify", n, suite], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least one box\n"
 
     def test_chars(self, capsys):
         code, out, _ = run(["verify", "5", "chars"], capsys)
@@ -280,19 +314,23 @@ class TestVerify:
         assert data["ok"] is True
         assert data["checks"]["rank"] == 6
 
-    def test_oracle_sampled_with_jobs(self, capsys):
-        code, out, _ = run(
-            ["verify", "5", "oracle", "--samples", "6", "--jobs", "2"], capsys
-        )
+    def test_oracle_sampled(self, capsys):
+        code, out, _ = run(["verify", "5", "oracle", "--samples", "6"], capsys)
         assert code == 0
         assert "forms checked: 6" in out
+
+    def test_jobs_flag_is_gone(self, capsys):
+        code, out, err = run(["verify", "5", "harmonic", "--jobs", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --jobs 2" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_jobs_below_one_exits_two(self, jobs, capsys):
         code, out, err = run(["verify", "3", "oracle", "--jobs", jobs], capsys)
         assert code == 2
         assert out == ""
-        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert f"unrecognized arguments: --jobs {jobs}" in err
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exits_two(self, samples, capsys):
@@ -309,7 +347,7 @@ class TestVerify:
             return value * 2 if form.entries == (1, 2, 2) else value
 
         monkeypatch.setattr(cli, "naive_oracle", wrong)
-        code, out, err = run(["verify", "3", "oracle", "--jobs", "1"], capsys)
+        code, out, err = run(["verify", "3", "oracle"], capsys)
         assert code == 1
         assert out.splitlines()[-3:] == ["mismatches: 1", "mismatch: [1 2 2]", "result: FAIL"]
         # [1 2 2] is t1*t2 - t1*t3 - 1/2*t2^2 + 1/2*t3^2, t1*t2 first in canonical order
@@ -371,16 +409,6 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == "suite: harmonic n=1 kmax=0"
 
-    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        assert cli._worker_count(1) == 1
-        assert cli._worker_count(4) == 4
-        assert cli._worker_count(10**6) == 4
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._worker_count(8) == 1
-        with pytest.raises(ValueError):
-            cli._worker_count(0)
-
 
 class TestFlipCommand:
     def test_form_input(self, capsys):
@@ -428,42 +456,6 @@ class TestFlipCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-class TestBench:
-    def test_fixed_form_counts(self, capsys):
-        code, out, _ = run(
-            ["bench", "--form", "[2 2 4 4 5 5]", "--samples", "0"], capsys
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == (
-            "form,n,leibniz_total,leibniz_nonzero,rowblocks,naive_seconds,blocks_seconds"
-        )
-        assert len(lines) == 2
-        cells = lines[1].split(",")
-        assert cells[0] == "[2 2 4 4 5 5]"
-        assert cells[1:5] == ["6", "720", "72", "9"]
-        assert float(cells[5]) >= 0 and float(cells[6]) >= 0
-
-    def test_negative_samples_exit_two(self, capsys):
-        code, out, err = run(["bench", "--samples", "-1"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --samples must be at least 0, got -1\n"
-
-    def test_max_below_min_exits_two(self, capsys):
-        code, out, err = run(["bench", "--min", "3", "--max", "2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --max must be at least --min, got --min 3 --max 2\n"
-
-    def test_sampling_is_seeded(self, capsys):
-        code1, out1, _ = run(["bench", "--max", "4", "--samples", "2"], capsys)
-        code2, out2, _ = run(["bench", "--max", "4", "--samples", "2"], capsys)
-        assert code1 == code2 == 0
-        strip = lambda s: [line.rsplit(",", 2)[0] for line in s.splitlines()]
-        assert strip(out1) == strip(out2)
-
-
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -487,6 +479,23 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 2
+
+    def test_bench_command_is_gone(self, capsys):
+        code, out, err = run(["bench"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'bench'" in err
+
+    def test_import_starts_no_process_machinery(self):
+        src = str(Path(cli.__file__).parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import cvforms.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"
+        )
+        proc = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

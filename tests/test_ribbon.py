@@ -30,6 +30,7 @@ from cvforms import (
     tableau_to_type,
     to_skew_partition,
 )
+from cvforms.ribbon import count_tableaux
 
 GOLDEN_CLASS = (4, 4, 3, 2, 1, 1, 1, 0)
 GOLDEN_FILLING = (4, 8, 5, 3, 1, 2, 7, 6)
@@ -137,6 +138,11 @@ class TestCountSyt:
         for n in range(1, 6):
             for r in enumerate_ribbons(n):
                 assert len(enumerate_tableaux(r)) == count_syt(to_skew_partition(r))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_completion_count_matches_determinant(self, n):
+        for r in enumerate_ribbons(n):
+            assert count_tableaux(r) == count_syt(to_skew_partition(r))
 
 
 class TestTableaux:
