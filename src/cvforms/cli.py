@@ -306,7 +306,10 @@ def cmd_count(args) -> dict:
         record["mahonian"] = q_factorial(n)
         return record
     if args.what == "ribbons":
-        record["ribbons"] = len(enumerate_ribbons(n))
+        if n < 1:
+            raise ValueError("need at least one box")
+        # one ribbon per choice of step at each of the N-1 joints
+        record["ribbons"] = 2 ** (n - 1)
         return record
     # generating function of ribbon indices and heights
     gf = ribbon_generating_function(n)
@@ -368,6 +371,13 @@ def _oracle_check(form: CvForm) -> str | None:
     return f"witness: {form} first differs at {monomial}: {coeffs}"
 
 
+def _harmonic_failure(report: dict) -> str:
+    """The listing line of a form that fails the harmonic suite, with its witness."""
+    k, route, exps = report["witness"]
+    monomial = Polynomial.monomial(len(exps), exps).canonical_text()
+    return f"failure: {report['form']} k={k} {route} first nonzero at {monomial}"
+
+
 def cmd_verify(args) -> dict:
     n = args.n
     suite = args.suite
@@ -405,8 +415,8 @@ def cmd_verify(args) -> dict:
             raise ValueError(f"--kmax must be between 1 and {n - 1}, got {args.kmax}")
         kmax = args.kmax if args.kmax is not None else n - 1
         basis = generate_basis(n)
-        bad = [bf.form for bf in basis.forms if not verify_harmonicity(bf.form, kmax)["ok"]]
-        listing = [f"failure: {form}" for form in bad[:10]]
+        bad = [rep for bf in basis.forms if not (rep := verify_harmonicity(bf.form, kmax))["ok"]]
+        listing = [_harmonic_failure(rep) for rep in bad[:10]]
         checks = {"forms": len(basis.forms), "kmax": kmax, "failures": len(bad)}
         ok = not bad
     elif suite == "flip":

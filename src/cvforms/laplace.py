@@ -17,11 +17,13 @@ Everything here is exact; no floating point is involved.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .cvform import CvForm, permutation_sign, valid_class
 from .poly import Polynomial
@@ -139,44 +141,83 @@ def _constant_rowblock(form: CvForm, sign: int) -> tuple[BlockFactorization, lis
     return factor, [RowBlock(blocks, groups, sign)]
 
 
+@lru_cache(maxsize=64)
+def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Admissible terms of the decoding table of one sorted zero-free form.
+
+    Each term is ``(powers, odd, denom)``: the strictly decreasing powers
+    of every block's minor, the parity of the picked-column permutation
+    and ``prod p!`` over all powers.  The parity is counted while the
+    columns are picked: a column c picked from the ascending ``available``
+    list at index i stands after ``n - c - (len(available) - 1 - i)``
+    larger, earlier-picked columns.  The terms depend only on the sorted
+    entries, and a run meets few entry multisets (the 720 forms of the
+    N=6 basis have 32), so the walks of the last 64 are kept.
+    """
+    n = sum(mults)
+    fact = [math.factorial(p) for p in range(n)]
+    last = len(values) - 1
+    terms: list[tuple] = []
+
+    def rec(available: list[int], j: int, powers: tuple, parity: int, denom: int) -> None:
+        a = values[j]
+        size = len(available)
+        legal = bisect.bisect_right(available, a + 1)
+        for combo in itertools.combinations(range(legal), mults[j]):
+            flips = parity
+            run_denom = denom
+            run = []
+            for i in combo:
+                c = available[i]
+                flips += n - c - size + 1 + i
+                # ascending column positions give strictly decreasing powers
+                run.append(a - c + 1)
+                run_denom *= fact[a - c + 1]
+            block = powers + (tuple(run),)
+            if j == last:
+                terms.append((block, flips & 1, run_denom))
+            else:
+                rest = [c for i, c in enumerate(available) if i not in combo]
+                rec(rest, j + 1, block, flips, run_denom)
+
+    rec(list(range(1, n + 1)), 0, (), 0, 1)
+    return tuple(terms)
+
+
+def _rowblock_terms(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[tuple]]:
+    """Variable groups and admissible terms of a form's block expansion.
+
+    The decoding-table walk of the module docstring, without RowBlock
+    objects or sorting.  Each term is ``(powers, sign, denom)``: the
+    strictly decreasing powers of every block's minor, the total sign and
+    ``prod p!`` over all powers.  Terms come in walk order; the zero form
+    has no groups and no terms.
+    """
+    sign0, reduced = form.remove_zeros()
+    if reduced is None:
+        if sign0 == 0:
+            return (), []
+        factor, (rb,) = _constant_rowblock(form, sign0)
+        return factor.vandermonde_blocks, [(rb.blocks, sign0, 1)]
+    sorted_form, perm, sort_sign = reduced.sort_entries()
+    table = build_decoding_table(sorted_form, perm)
+    base = sign0 * sort_sign
+    terms = _walk(table.values, table.multiplicities)
+    return table.blocks, [(powers, -base if odd else base, denom) for powers, odd, denom in terms]
+
+
 def expand_rowblocks(form: CvForm) -> tuple[BlockFactorization, list[RowBlock]]:
     """Signed row-blocks of a form, largest first in row-block order.
 
     Zero removal and entry sorting are applied internally and their signs
     folded into each term.  The zero form produces an empty term list.
     """
-    sign0, reduced = form.remove_zeros()
+    groups, terms = _rowblock_terms(form)
     n = form.N
-    if reduced is None:
-        if sign0 == 0:
-            return BlockFactorization((), n), []
-        return _constant_rowblock(form, sign0)
-    sorted_form, perm, sort_sign = reduced.sort_entries()
-    table = build_decoding_table(sorted_form, perm)
-    groups = table.blocks
-    factor = BlockFactorization(groups, n)
-    values = table.values
-    mults = table.multiplicities
-    base_sign = sign0 * sort_sign
-    terms: list[RowBlock] = []
-
-    def rec(available: list[int], picked: list[int], powers: list[tuple[int, ...]], j: int) -> None:
-        if j == len(values):
-            intrinsic = permutation_sign(picked)
-            terms.append(RowBlock(tuple(powers), groups, intrinsic * base_sign))
-            return
-        a = values[j]
-        legal = [c for c in available if c <= a + 1]
-        for combo in itertools.combinations(legal, mults[j]):
-            rest = [c for c in available if c not in combo]
-            # ascending column positions give strictly decreasing powers
-            run = tuple(a - c + 1 for c in combo)
-            rec(rest, picked + list(combo), powers + [run], j + 1)
-
-    rec(list(range(1, n + 1)), [], [], 0)
+    rowblocks = [RowBlock(powers, groups, sign) for powers, sign, _ in terms]
     # powers never exceed n - 1
-    terms.sort(key=lambda rb: _order_key(rb.entries(), n), reverse=True)
-    return factor, terms
+    rowblocks.sort(key=lambda rb: _order_key(rb.entries(), n), reverse=True)
+    return BlockFactorization(groups, n), rowblocks
 
 
 def _alternant(powers, variables, nvars: int) -> Polynomial:
@@ -216,52 +257,52 @@ def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
     return value
 
 
+@lru_cache(maxsize=None)
+def _arrangements(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # every (powers[sigma[0]], ..., powers[sigma[m-1]]) with sign(sigma)
+    return tuple(
+        (tuple(powers[i] for i in sigma), permutation_sign(sigma))
+        for sigma in itertools.permutations(range(len(powers)))
+    )
+
+
 def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     """Value of a form as ``(numerators, D)``: integer coefficients over D.
 
-    D is the lcm of the row-blocks' ``prod p!``, so a row-block adds
-    ``total_sign * D/prod p! * sign(sigma)`` at each exponent vector its
-    alternants produce.  The blocks act on disjoint variables, so those
-    vectors are concatenations of one power arrangement per block; they
-    are keyed in block order while summing and put in variable order once
-    at the end.  No Polynomial or Fraction arithmetic is involved.
+    Reads the terms of ``_rowblock_terms`` directly; no RowBlock is built
+    and nothing is sorted.  D is the lcm of the terms' ``prod p!``, so a
+    term puts ``sign * D/prod p! * sign(sigma)`` at each exponent vector
+    its alternants produce.  The blocks act on disjoint variables, so
+    those vectors are concatenations of one power arrangement per block,
+    from the module-level ``_arrangements`` table of each block's powers.
+    No vector comes from two (term, arrangement) pairs, so nothing is
+    summed; the vectors are keyed in block order and put in variable
+    order once at the end.  No Polynomial or Fraction arithmetic is
+    involved.
     """
-    factor, terms = expand_rowblocks(form)
+    groups, terms = _rowblock_terms(form)
     nvars = form.N
-    fact = [math.factorial(p) for p in range(nvars)]
-    denoms = [math.prod(fact[p] for p in rb.entries()) for rb in terms]
-    common = math.lcm(*denoms)
-    # block size m -> every (sigma, sign(sigma)); block powers -> every
-    # (powers[sigma[0]], ..., powers[sigma[m-1]]) with sign(sigma)
-    signed_perms: dict[int, list] = {}
-    arrangements: dict[tuple[int, ...], list] = {}
+    common = math.lcm(*(d for _, _, d in terms))
     acc: dict[tuple[int, ...], int] = {}
-    for rb, d in zip(terms, denoms):
-        partial = [((), rb.total_sign * (common // d))]
-        for powers in rb.blocks:
-            table = arrangements.get(powers)
-            if table is None:
-                m = len(powers)
-                if m not in signed_perms:
-                    signed_perms[m] = [
-                        (sigma, permutation_sign(sigma)) for sigma in itertools.permutations(range(m))
-                    ]
-                table = arrangements[powers] = [
-                    (tuple(powers[i] for i in sigma), sign) for sigma, sign in signed_perms[m]
-                ]
-            partial = [(head + tail, c * s) for head, c in partial for tail, s in table]
-        for key, c in partial:
-            acc[key] = acc.get(key, 0) + c
+    produced = 0
+    for powers, sign, d in terms:
+        scale = sign * (common // d)
+        partial = [(key, scale * s) for key, s in _arrangements(powers[0])]
+        for blk in powers[1:]:
+            partial = [(head + tail, c * s) for head, c in partial for tail, s in _arrangements(blk)]
+        acc.update(partial)
+        produced += len(partial)
+    # the terms regroup the Leibniz sum of the zero-free form, in which
+    # each exponent vector fixes its permutation, so no key comes twice
+    if len(acc) != produced:
+        raise ArithmeticError(f"two row-block terms of {form} share a monomial")
     position = [0] * nvars
-    for k, v in enumerate(v for blk in factor.vandermonde_blocks for v in blk):
+    for k, v in enumerate(v for blk in groups for v in blk):
         position[v - 1] = k
     # always the case for N=1, where itemgetter would not return a tuple
     if position == list(range(nvars)):
-        return {key: c for key, c in acc.items() if c}, common
-    from operator import itemgetter
-
-    reorder = itemgetter(*position)
-    return {reorder(key): c for key, c in acc.items() if c}, common
+        return acc, common
+    return dict(zip(map(itemgetter(*position), acc), acc.values())), common
 
 
 def _over(nvars: int, numerators: dict[tuple[int, ...], int], denom: int) -> Polynomial:

@@ -156,6 +156,7 @@ class TestHarmonicity:
         for c in report["checks"]:
             assert c["polynomial_route"] is True
             assert c["lowered_forms_route"] is True
+        assert report["witness"] is None
 
     def test_kmax_range_enforced(self):
         with pytest.raises(ValueError):

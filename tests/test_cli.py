@@ -9,6 +9,7 @@ import pytest
 
 from cvforms import basis, cli
 from cvforms.cvform import CvForm
+from cvforms.ribbon import enumerate_ribbons
 
 
 def run(argv, capsys):
@@ -192,6 +193,18 @@ class TestCount:
         assert code == 0
         assert out == "4\n"
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ribbons_equal_the_enumeration(self, n, capsys):
+        code, out, _ = run(["count", str(n), "ribbons"], capsys)
+        assert code == 0
+        assert out == f"{len(enumerate_ribbons(n))}\n"
+
+    def test_ribbons_need_no_enumeration(self, capsys):
+        # 2^59 ribbons could never be built one by one
+        code, out, _ = run(["count", "60", "ribbons"], capsys)
+        assert code == 0
+        assert out == f"{2 ** 59}\n"
+
     def test_gf_at(self, capsys):
         code, out, _ = run(["count", "8", "gf", "--at", "q^16"], capsys)
         assert code == 0
@@ -262,7 +275,55 @@ class TestVerify:
     def test_harmonic(self, capsys):
         code, out, _ = run(["verify", "3", "harmonic"], capsys)
         assert code == 0
-        assert "failures: 0" in out
+        assert out.splitlines() == [
+            "suite: harmonic n=3 kmax=2",
+            "forms checked: 6",
+            "failures: 0",
+            "result: PASS",
+        ]
+
+    def test_harmonic_broken_kernel_names_a_witness(self, capsys, monkeypatch):
+        real = basis._integer_value
+
+        def flipped(form):
+            # [2 2 1] is -1/2*t1^2 + t1*t3 + 1/2*t2^2 - t2*t3; flip the t1^2 coefficient
+            numerators, denom = real(form)
+            if form.entries == (2, 2, 1):
+                numerators = {**numerators, (2, 0, 0): -numerators[(2, 0, 0)]}
+            return numerators, denom
+
+        monkeypatch.setattr(basis, "_integer_value", flipped)
+        code, out, err = run(["verify", "3", "harmonic"], capsys)
+        assert code == 1
+        # [2 2 1] is a lowered form of [2 2 2] at k=1; the flipped value of
+        # [2 2 1] has power-sum derivative 2*t1
+        witnesses = [
+            "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t1^2",
+            "failure: [2 2 1] k=1 polynomial_route first nonzero at t1",
+        ]
+        assert out.splitlines()[-4:] == ["failures: 2", *witnesses, "result: FAIL"]
+        assert err == ""
+        args = cli.build_parser().parse_args(["verify", "3", "harmonic"])
+        assert cli.cmd_verify(args)["_listing"] == witnesses
+
+    def test_harmonic_broken_lowering_names_a_witness(self, capsys, monkeypatch):
+        real = basis._lowered_forms
+        monkeypatch.setattr(basis, "_lowered_forms", lambda form, k: real(form, k)[:-1])
+        code, out, err = run(["verify", "3", "harmonic", "--kmax", "1"], capsys)
+        assert code == 1
+        # [2 1 1] and [1 2 1] lose the constant form [2 1 0] and [1 2 0] of their sums
+        assert out.splitlines() == [
+            "suite: harmonic n=3 kmax=1",
+            "forms checked: 6",
+            "failures: 5",
+            "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t1^2",
+            "failure: [2 2 1] k=1 lowered_forms_route first nonzero at t1",
+            "failure: [2 1 2] k=1 lowered_forms_route first nonzero at t2",
+            "failure: [2 1 1] k=1 lowered_forms_route first nonzero at 1",
+            "failure: [1 2 1] k=1 lowered_forms_route first nonzero at 1",
+            "result: FAIL",
+        ]
+        assert err == ""
 
     def test_flip_suite(self, capsys):
         code, out, _ = run(["verify", "4", "flip"], capsys)

@@ -282,9 +282,10 @@ class TestOraclesAgainstLeibniz:
     @pytest.mark.parametrize("oracle", [naive_oracle, derivative_oracle])
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
-        assert not names & {"expand_rowblocks", "_integer_value", "evaluate"}
-        # the walk does find the expansion where it is used
-        assert {"expand_rowblocks", "_integer_value"} <= _laplace_names(evaluate)
+        assert not names & {"expand_rowblocks", "_rowblock_terms", "_walk", "_integer_value", "evaluate"}
+        # the walk does find the enumerator where it is used
+        assert {"_rowblock_terms", "_integer_value"} <= _laplace_names(evaluate)
+        assert "_rowblock_terms" in _laplace_names(expand_rowblocks)
 
 
 class TestIntegerKernel:
@@ -305,6 +306,109 @@ class TestIntegerKernel:
 
     def test_zero_form(self):
         assert _integer_value(CvForm((0, 0, 3, 3))) == ({}, 1)
+
+    def test_exhaustive_five_against_naive_oracle(self):
+        for entries in itertools.product(range(5), repeat=5):
+            f = CvForm(entries)
+            numerators, denom = _integer_value(f)
+            assert laplace._over(5, numerators, denom) == naive_oracle(f), f
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_value_as_the_sorted_rowblock_kernel(self, n):
+        for entries in itertools.product(range(n), repeat=n):
+            f = CvForm(entries)
+            assert _integer_value(f) == _frozen_integer_value(f), f
+
+    def test_same_value_as_the_sorted_rowblock_kernel_on_the_six_basis(self):
+        for bf in generate_basis(6).forms:
+            assert _integer_value(bf.form) == _frozen_integer_value(bf.form), bf.form
+
+
+def _frozen_expand_rowblocks(form: CvForm):
+    """The row-block expansion as written before the enumerator was shared:
+    one RowBlock per term, each sign from ``permutation_sign``, then sorted."""
+    sign0, reduced = form.remove_zeros()
+    n = form.N
+    if reduced is None:
+        if sign0 == 0:
+            return BlockFactorization((), n), []
+        order = sorted(range(n), key=lambda i: (form.entries[i], i))
+        groups = tuple((i + 1,) for i in order)
+        return BlockFactorization(groups, n), [RowBlock(((0,),) * n, groups, sign0)]
+    sorted_form, perm, sort_sign = reduced.sort_entries()
+    table = build_decoding_table(sorted_form, perm)
+    groups, values, mults = table.blocks, table.values, table.multiplicities
+    terms = []
+
+    def rec(available, picked, powers, j):
+        if j == len(values):
+            terms.append(RowBlock(tuple(powers), groups, permutation_sign(picked) * sign0 * sort_sign))
+            return
+        a = values[j]
+        legal = [c for c in available if c <= a + 1]
+        for combo in itertools.combinations(legal, mults[j]):
+            rest = [c for c in available if c not in combo]
+            rec(rest, picked + list(combo), powers + [tuple(a - c + 1 for c in combo)], j + 1)
+
+    rec(list(range(1, n + 1)), [], [], 0)
+    terms.sort(key=lambda rb: laplace._order_key(rb.entries(), n), reverse=True)
+    return BlockFactorization(groups, n), terms
+
+
+def _frozen_integer_value(form: CvForm):
+    """The integer kernel as written before it read the enumerator directly:
+    signed arrangements of each row-block, summed, over the lcm of the
+    row-blocks' ``prod p!``."""
+    factor, terms = _frozen_expand_rowblocks(form)
+    n = form.N
+    denoms = [math.prod(math.factorial(p) for p in rb.entries()) for rb in terms]
+    common = math.lcm(*denoms)
+    acc = {}
+    for rb, d in zip(terms, denoms):
+        partial = [((), rb.total_sign * (common // d))]
+        for powers in rb.blocks:
+            table = [
+                (tuple(powers[i] for i in sigma), permutation_sign(sigma))
+                for sigma in itertools.permutations(range(len(powers)))
+            ]
+            partial = [(head + tail, c * s) for head, c in partial for tail, s in table]
+        for key, c in partial:
+            acc[key] = acc.get(key, 0) + c
+    variables = [v for blk in factor.vandermonde_blocks for v in blk]
+    out = {}
+    for key, c in acc.items():
+        if c:
+            exps = [0] * n
+            for v, p in zip(variables, key):
+                exps[v - 1] = p
+            out[tuple(exps)] = c
+    return out, common
+
+
+class TestRowBlockEnumerator:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_expansion_matches_the_frozen_walk(self, n):
+        for entries in itertools.product(range(n), repeat=n):
+            f = CvForm(entries)
+            assert expand_rowblocks(f) == _frozen_expand_rowblocks(f), f
+
+    def test_expansion_matches_the_frozen_walk_on_the_six_basis(self):
+        for bf in generate_basis(6).forms:
+            assert expand_rowblocks(bf.form) == _frozen_expand_rowblocks(bf.form), bf.form
+
+    def test_terms_carry_the_factorial_denominator(self):
+        groups, terms = laplace._rowblock_terms(CvForm((2, 2, 3, 3)))
+        assert groups == ((1, 2), (3, 4))
+        assert sorted(terms) == [
+            (((1, 0), (3, 0)), 1, 6),
+            (((2, 0), (2, 0)), -1, 4),
+            (((2, 1), (1, 0)), 1, 2),
+        ]
+
+    def test_zero_and_constant_forms(self):
+        assert laplace._rowblock_terms(CvForm((0, 0, 3, 3))) == ((), [])
+        # [2 0 1] is triangular up to the column order 2, 3, 1
+        assert laplace._rowblock_terms(CvForm((2, 0, 1))) == (((2,), (3,), (1,)), [(((0,), (0,), (0,)), 1, 1)])
 
 
 def _blocks_from_entries(entries, shape):
