@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import lcm
 
 from .cvform import CvForm
-from .laplace import _integer_value, characteristic_exponents
-from .poly import _term_key
+from .laplace import _integer_value, characteristic_exponents, evaluate
+from .poly import _term_key, sum_of
 from .ribbon import (
     SkewTableau,
     backward_order,
@@ -81,65 +81,38 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
     return Basis(n, degree, order, tuple(forms))
 
 
-def _power_sum_derivative(numerators: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...], int]:
-    # sum_i d^k/dt_i^k of integer numerators: t_i^e becomes e!/(e-k)! t_i^(e-k)
-    acc: dict[tuple[int, ...], int] = {}
-    for exps, c in numerators.items():
-        for i, e in enumerate(exps):
-            if e >= k:
-                key = exps[:i] + (e - k,) + exps[i + 1:]
-                acc[key] = acc.get(key, 0) + c * perm(e, k)
-    return acc
-
-
 def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
     # the forms with one entry lowered by k; negative entries drop out
     ent = form.entries
     return [CvForm(ent[:i] + (e - k,) + ent[i + 1:]) for i, e in enumerate(ent) if e >= k]
 
 
-def _lowered_sum(form: CvForm, k: int) -> dict[tuple[int, ...], int]:
-    # numerators of the sum of the lowered forms over the lcm of their denominators
-    values = [_integer_value(f) for f in _lowered_forms(form, k)]
-    common = lcm(*(d for _, d in values))
-    acc: dict[tuple[int, ...], int] = {}
-    for numerators, d in values:
-        scale = common // d
-        for exps, c in numerators.items():
-            acc[exps] = acc.get(exps, 0) + c * scale
-    return acc
-
-
-def _first_nonzero(numerators: dict[tuple[int, ...], int]) -> tuple[int, ...] | None:
-    # the route's witness: its first nonzero monomial in canonical order
-    return min((e for e, c in numerators.items() if c), key=_term_key, default=None)
-
-
 def verify_harmonicity(form: CvForm, kmax: int | None = None) -> dict:
     """Check annihilation by the power sums along two routes.
 
-    Both routes run on the integer numerators of ``_integer_value``, with
-    no Polynomial or Fraction.  Route one applies ``sum_i d^k/dt_i^k`` to
-    the form's numerators; the common denominator only scales the result.
-    Route two uses the identity that the k-th power sum maps ``[.. ni ..]``
-    to the sum of forms with one entry lowered by k (negative entries drop
-    out): their numerators are scaled to the lcm of their denominators and
-    summed.  ``witness`` is None when every check passes, else the first
-    failed check as ``(k, route, exponents)``, the exponents being the
-    route's first nonzero monomial in canonical order.
+    Route one applies ``sum_i d^k/dt_i^k`` to the form's value with
+    ``Polynomial.symmetrized_derivative``.  Route two uses the identity
+    that the k-th power sum maps ``[.. ni ..]`` to the sum of forms with
+    one entry lowered by k (negative entries drop out): their values are
+    added up in one pass.  Both stay integer numerators over one
+    denominator; no Fraction is built.  ``witness`` is None when every
+    check passes, else the first failed check as ``(k, route,
+    exponents)``, the exponents being the route's first monomial in
+    canonical order.
     """
     n = form.N
     if kmax is None:
         kmax = n - 1
     if not 0 <= kmax <= n - 1:
         raise ValueError(f"kmax {kmax} outside 0..{n - 1}")
-    numerators, _ = _integer_value(form)
+    value = evaluate(form)
     checks = []
     witness = None
     for k in range(1, kmax + 1):
+        lowered = sum_of(n, [evaluate(f) for f in _lowered_forms(form, k)])
         first = {
-            "polynomial_route": _first_nonzero(_power_sum_derivative(numerators, k)),
-            "lowered_forms_route": _first_nonzero(_lowered_sum(form, k)),
+            "polynomial_route": value.symmetrized_derivative(k).first_monomial(),
+            "lowered_forms_route": lowered.first_monomial(),
         }
         checks.append({"k": k, **{route: exps is None for route, exps in first.items()}})
         if witness is None:

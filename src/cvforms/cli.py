@@ -356,19 +356,20 @@ def _format_t_poly(coeffs: dict[int, int]) -> str:
 # ---------------------------------------------------------------- verify
 
 
-def _oracle_check(form: CvForm) -> str | None:
-    """A witness line for stderr when the three values of the form differ."""
+def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
+    """Whether ``evaluate`` gives the form a nonzero value, and a witness
+    line for stderr when the three values of the form differ."""
     values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
     if values[0] == values[1] == values[2]:
-        return None
-    differing = {e for v in values for e in v.terms if len({w.terms.get(e, 0) for w in values}) > 1}
-    exps = min(differing, key=_term_key)
+        return bool(values[0]), None
+    # the first monomial at which some value differs from the first one
+    exps = min((d.first_monomial() for d in (values[0] - values[1], values[0] - values[2]) if d), key=_term_key)
     coeffs = ", ".join(
         f"{name} {v.terms.get(exps, 0)}"
         for name, v in zip(("evaluate", "naive_oracle", "derivative_oracle"), values)
     )
     monomial = Polynomial.monomial(form.N, exps).canonical_text()
-    return f"witness: {form} first differs at {monomial}: {coeffs}"
+    return bool(values[0]), f"witness: {form} first differs at {monomial}: {coeffs}"
 
 
 def _harmonic_failure(report: dict) -> str:
@@ -396,9 +397,12 @@ def cmd_verify(args) -> dict:
             rng = random.Random(args.seed)
             forms = [CvForm(tuple(rng.randrange(n) for _ in range(n))) for _ in range(args.samples)]
             source = f"{args.samples} seeded samples (seed {args.seed})"
-        bad = [(form, witness) for form in forms if (witness := _oracle_check(form)) is not None]
+        results = [_oracle_check(form) for form in forms]
+        bad = [(form, witness) for form, (_, witness) in zip(forms, results) if witness is not None]
         for _, witness in bad[:10]:
             print(witness, file=sys.stderr)
+        # vanishing forms pass every oracle trivially, so say how many did not
+        print(f"nonzero forms: {sum(nonzero for nonzero, _ in results)} of {len(forms)}", file=sys.stderr)
         listing = [f"mismatch: {form}" for form, _ in bad[:10]]
         checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
         ok = not bad

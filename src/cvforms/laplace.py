@@ -21,7 +21,6 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
@@ -224,16 +223,14 @@ def _alternant(powers, variables, nvars: int) -> Polynomial:
     # det over rows r (power powers[r] / powers[r]!) and columns c
     # (variable variables[c]), expanded straight over permutations.
     m = len(powers)
-    denom = 1
-    for p in powers:
-        denom *= math.factorial(p)
-    terms = {}
+    denom = math.prod(math.factorial(p) for p in powers)
+    numerators = {}
     for sigma in itertools.permutations(range(m)):
         exps = [0] * nvars
         for c in range(m):
             exps[variables[c] - 1] = powers[sigma[c]]
-        terms[tuple(exps)] = Fraction(permutation_sign(sigma), denom)
-    return Polynomial(nvars, terms)
+        numerators[tuple(exps)] = permutation_sign(sigma)
+    return Polynomial.from_numerators(nvars, numerators, denom)
 
 
 def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
@@ -305,15 +302,13 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     return dict(zip(map(itemgetter(*position), acc), acc.values())), common
 
 
-def _over(nvars: int, numerators: dict[tuple[int, ...], int], denom: int) -> Polynomial:
-    # exact Fraction polynomial of integer numerators over one denominator
-    return Polynomial._trusted(nvars, {e: Fraction(c, denom) for e, c in numerators.items()})
-
-
 def evaluate(form: CvForm) -> Polynomial:
-    """Exact polynomial value of a form via the block expansion."""
-    numerators, denom = _integer_value(form)
-    return _over(form.N, numerators, denom)
+    """Exact polynomial value of a form via the block expansion.
+
+    Wraps the ``(numerators, D)`` of ``_integer_value`` as they are; no
+    work is done per term.
+    """
+    return Polynomial.from_numerators(form.N, *_integer_value(form))
 
 
 def naive_oracle(form: CvForm) -> Polynomial:
@@ -348,7 +343,7 @@ def naive_oracle(form: CvForm) -> Polynomial:
         return acc
 
     denom = math.prod(math.factorial(e) for e in ent)
-    return _over(n, minor(tuple(range(n))), denom)
+    return Polynomial.from_numerators(n, minor(tuple(range(n))), denom)
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +410,7 @@ def derivative_oracle(form: CvForm) -> Polynomial:
                 walk(child, depth + 1, key, c)
 
     walk(trie, 0, (), 1)
-    return _over(n, out, denom)
+    return Polynomial.from_numerators(n, out, denom)
 
 
 def leading_rowblock(class_entries) -> RowBlock:

@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial in ``nvars`` variables (rendered t1, t2, ...) is stored as a
-mapping from exponent tuples to nonzero ``fractions.Fraction`` coefficients.
-All operations return new objects; instances are never mutated after
-construction, so they can be shared freely.
+mapping from exponent tuples to nonzero integer numerators over one
+positive common denominator.  The denominator is not reduced to lowest
+terms; equality and hashing compare values, not representations.
+``fractions.Fraction`` appears only at the edges: the public constructor
+takes Fraction-like coefficients, and ``terms``, ``canonical_text`` and
+``to_json_dict`` build reduced Fractions on demand.  All operations return
+new objects; instances are never mutated after construction, so they can
+be shared freely.
 
 The canonical term order is graded: total degree descending, ties broken
 lexicographically on the exponent tuple, descending, with t1 > t2 > ... > tN.
@@ -13,6 +18,8 @@ Two polynomials are equal exactly when their canonical renderings coincide.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, perm
+from types import MappingProxyType
 
 Exponents = tuple[int, ...]
 
@@ -28,7 +35,7 @@ class Polynomial:
     meaningful: ``Polynomial.zero(4) != Polynomial.zero(3)``.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_numerators", "_denom")
 
     def __init__(self, nvars: int, terms: dict[Exponents, Fraction] | None = None):
         if nvars < 0:
@@ -40,23 +47,25 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {key} does not have {nvars} slots")
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {key}")
-            c = Fraction(coeff)
-            if c:
-                clean[key] = c
+            clean[key] = Fraction(coeff)
+        # a zero coefficient has denominator 1, so dropping it later leaves the lcm alone
+        denom = lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.terms = clean
+        self._numerators = {e: c.numerator * (denom // c.denominator) for e, c in clean.items() if c}
+        self._denom = denom
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Wrap a result the package computed itself.
+    def from_numerators(cls, nvars: int, numerators: dict[Exponents, int], denom: int) -> "Polynomial":
+        """Wrap integer numerators over ``denom`` that the package computed itself.
 
-        ``terms`` must already map ``nvars``-slot tuples of non-negative
-        exponents to ``Fraction`` values; only zero values are dropped.
-        Input from outside goes through ``Polynomial(nvars, terms)``.
+        Trusted: ``numerators`` maps ``nvars``-slot tuples of non-negative
+        exponents to nonzero ints and ``denom`` is a positive int; the dict
+        is neither checked nor copied.  Outside input goes through ``__init__``.
         """
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.terms = {e: c for e, c in terms.items() if c}
+        poly._numerators = numerators
+        poly._denom = denom
         return poly
 
     @classmethod
@@ -79,35 +88,38 @@ class Polynomial:
     def monomial(cls, nvars: int, exps: Exponents, coeff=1) -> "Polynomial":
         return cls(nvars, {tuple(exps): Fraction(coeff)})
 
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only view of the reduced ``Fraction`` coefficients, built on each access."""
+        d = self._denom
+        return MappingProxyType({e: Fraction(c, d) for e, c in self._numerators.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._numerators
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._numerators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        a, b = self._numerators, other._numerators
+        if self.nvars != other.nvars or a.keys() != b.keys():
+            return False
+        # a/da == b/db term by term, cross-multiplied
+        da, db = self._denom, other._denom
+        return all(c * db == b[e] * da for e, c in a.items())
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"mixing {self.nvars}- and {other.nvars}-variable polynomials")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial._trusted(self.nvars, out)
+        return sum_of(self.nvars, (self, other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial.from_numerators(self.nvars, {e: -c for e, c in self._numerators.items()}, self._denom)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -116,59 +128,47 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_compatible(other)
-            out: dict[Exponents, Fraction] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
+            if self.nvars != other.nvars:
+                raise ValueError(f"mixing {self.nvars}- and {other.nvars}-variable polynomials")
+            out: dict[Exponents, int] = {}
+            for ea, ca in self._numerators.items():
+                for eb, cb in other._numerators.items():
                     key = tuple(x + y for x, y in zip(ea, eb))
-                    out[key] = out.get(key, Fraction(0)) + ca * cb
-            return Polynomial._trusted(self.nvars, out)
+                    out[key] = out.get(key, 0) + ca * cb
+            return Polynomial.from_numerators(
+                self.nvars, {e: c for e, c in out.items() if c}, self._denom * other._denom
+            )
         if isinstance(other, (int, Fraction)):
-            return Polynomial._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return Polynomial.zero(self.nvars)
+            num = other.numerator
+            return Polynomial.from_numerators(
+                self.nvars, {e: c * num for e, c in self._numerators.items()}, self._denom * other.denominator
+            )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def total_degree(self) -> int:
-        """Largest monomial degree, 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
-
-    def differentiate(self, var: int, order: int = 1) -> "Polynomial":
-        """Exact partial derivative d^order / d t_{var+1}^order.
-
-        Falling-factorial coefficients keep everything in integer
-        multiples, so no precision is lost.
-        """
-        if not 0 <= var < self.nvars:
-            raise ValueError(f"variable index {var} out of range for {self.nvars} variables")
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
-        if order == 0:
-            return self
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e < order:
-                continue
-            fall = 1
-            for i in range(order):
-                fall *= e - i
-            key = exps[:var] + (e - order,) + exps[var + 1:]
-            out[key] = coeff * fall
-        return Polynomial._trusted(self.nvars, out)
+    # the ring is commutative, and so is scaling
+    __rmul__ = __mul__
 
     def symmetrized_derivative(self, k: int) -> "Polynomial":
-        """Apply the power-sum operator sum_i d^k/dt_i^k."""
+        """Apply the power-sum operator sum_i d^k/dt_i^k.
+
+        One pass over the numerators: t_i^e becomes ``e!/(e-k)!`` times
+        t_i^(e-k), so the result stays integer over the same denominator.
+        """
         if k < 1:
             raise ValueError("symmetrized derivative order must be at least 1")
-        acc: dict[Exponents, Fraction] = {}
-        for var in range(self.nvars):
-            for exps, coeff in self.differentiate(var, k).terms.items():
-                acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        return Polynomial._trusted(self.nvars, acc)
+        acc: dict[Exponents, int] = {}
+        for exps, c in self._numerators.items():
+            for i, e in enumerate(exps):
+                if e >= k:
+                    key = exps[:i] + (e - k,) + exps[i + 1:]
+                    acc[key] = acc.get(key, 0) + c * perm(e, k)
+        return Polynomial.from_numerators(self.nvars, {e: c for e, c in acc.items() if c}, self._denom)
+
+    def first_monomial(self) -> Exponents | None:
+        """Exponents of the first term in canonical order, None for zero."""
+        return min(self._numerators, key=_term_key, default=None)
 
     def canonical_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted by the canonical graded order."""
@@ -176,30 +176,22 @@ class Polynomial:
 
     def canonical_text(self) -> str:
         """Deterministic text rendering, e.g. ``1/2*t2^2 - t2*t4``."""
-        if not self.terms:
+        if not self._numerators:
             return "0"
         pieces = []
         for exps, coeff in self.canonical_terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"t{i + 1}")
-                elif e > 1:
-                    factors.append(f"t{i + 1}^{e}")
-            mono = "*".join(factors)
-            mag = -coeff if coeff < 0 else coeff
+            mono = "*".join(f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            mag = abs(coeff)
             if not mono:
                 body = str(mag)
             elif mag == 1:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            pieces.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        text = " ".join(pieces)
+        # the first term drops its plus sign and the space after its sign
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; numerators and denominators as strings."""
@@ -211,13 +203,19 @@ class Polynomial:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Polynomial":
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(data["nvars"], terms)
-
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.canonical_text()!r})"
+
+
+def sum_of(nvars: int, polys) -> Polynomial:
+    """Sum of ``nvars``-variable polynomials, in one pass over the lcm of their denominators."""
+    polys = list(polys)
+    denom = lcm(*(p._denom for p in polys))
+    acc: dict[Exponents, int] = {}
+    for p in polys:
+        if p.nvars != nvars:
+            raise ValueError(f"mixing {nvars}- and {p.nvars}-variable polynomials")
+        scale = denom // p._denom
+        for e, c in p._numerators.items():
+            acc[e] = acc.get(e, 0) + c * scale
+    return Polynomial.from_numerators(nvars, {e: c for e, c in acc.items() if c}, denom)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cvforms import basis, cli
+from cvforms import Polynomial, basis, cli
 from cvforms.cvform import CvForm
 from cvforms.ribbon import enumerate_ribbons
 
@@ -283,16 +283,16 @@ class TestVerify:
         ]
 
     def test_harmonic_broken_kernel_names_a_witness(self, capsys, monkeypatch):
-        real = basis._integer_value
+        real = basis.evaluate
 
         def flipped(form):
             # [2 2 1] is -1/2*t1^2 + t1*t3 + 1/2*t2^2 - t2*t3; flip the t1^2 coefficient
-            numerators, denom = real(form)
+            value = real(form)
             if form.entries == (2, 2, 1):
-                numerators = {**numerators, (2, 0, 0): -numerators[(2, 0, 0)]}
-            return numerators, denom
+                value = value - Polynomial.monomial(3, (2, 0, 0), 2 * value.terms[(2, 0, 0)])
+            return value
 
-        monkeypatch.setattr(basis, "_integer_value", flipped)
+        monkeypatch.setattr(basis, "evaluate", flipped)
         code, out, err = run(["verify", "3", "harmonic"], capsys)
         assert code == 1
         # [2 2 1] is a lowered form of [2 2 2] at k=1; the flipped value of
@@ -415,7 +415,23 @@ class TestVerify:
         assert err == (
             "witness: [1 2 2] first differs at t1*t2: "
             "evaluate 1, naive_oracle 2, derivative_oracle 1\n"
+            "nonzero forms: 16 of 27\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["verify", "3", "oracle"], "nonzero forms: 16 of 27\n"),
+            (["verify", "6", "oracle", "--samples", "1000", "--seed", "1"], "nonzero forms: 366 of 1000\n"),
+            (["verify", "3", "oracle", "--format", "json"], "nonzero forms: 16 of 27\n"),
+        ],
+    )
+    def test_oracle_counts_nonzero_forms_on_stderr(self, argv, line, capsys):
+        # a vanishing form agrees with both oracles trivially; stdout keeps counting every form
+        code, out, err = run(argv, capsys)
+        assert code == 0
+        assert err == line
+        assert "nonzero" not in out
 
     def test_chars_collision_names_a_witness(self, capsys, monkeypatch):
         real = basis.characteristic_exponents

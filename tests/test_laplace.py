@@ -195,7 +195,6 @@ class TestEvaluate:
             f = CvForm(entries)
             v = evaluate(f)
             if not v.is_zero():
-                assert v.total_degree() == f.degree()
                 homogeneous = {sum(e) for e in v.terms}
                 assert homogeneous == {f.degree()}
 
@@ -311,7 +310,7 @@ class TestIntegerKernel:
         for entries in itertools.product(range(5), repeat=5):
             f = CvForm(entries)
             numerators, denom = _integer_value(f)
-            assert laplace._over(5, numerators, denom) == naive_oracle(f), f
+            assert Polynomial.from_numerators(5, numerators, denom) == naive_oracle(f), f
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_value_as_the_sorted_rowblock_kernel(self, n):
