@@ -206,30 +206,35 @@ _PRIME = (1 << 61) - 1
 def _rank_mod_p(rows) -> int:
     """Rank of sparse integer rows over the field of ``_PRIME`` elements.
 
-    Each row is reduced against the pivot rows in the order they were
-    found; every pivot row is normalized to 1 at its own column and is
-    zero at the columns of all earlier pivots, so one pass clears them all.
-    A reduced row pivots at its first remaining column.  Rows are taken
-    longest first; any order gives the same rank, but for basis forms the
-    first column is a leading monomial, and in this order few rows meet
-    an earlier pivot column (the N=7 slices take 4 s instead of 22 s).
+    Each row is copied and reduced against the pivot rows in the order
+    they were found.  A pivot row is stored as it was reduced, not
+    normalized, next to the inverse of its pivot entry; it is zero mod p
+    at the columns of all earlier pivots, so one pass clears them all.
+    Entries are reduced mod p only where a pivot row is subtracted, and a
+    reduced row pivots at its first entry that is nonzero mod p.  A row
+    that meets no pivot column is not scanned.  Rows are taken longest
+    first; any order gives the same rank, but for basis forms the first
+    column is a leading monomial, and in this order few rows meet an
+    earlier pivot column (the N=7 slices take 1.3 s instead of 11.5 s
+    in input order, on a 2-vCPU Xeon under Python 3.11).
     """
     pivots: dict = {}
     for row in sorted(rows, key=len, reverse=True):
-        r = {c: v % _PRIME for c, v in row.items() if v % _PRIME}
-        for col, prow in pivots.items():
-            f = r.get(col)
-            if f:
-                for c, v in prow.items():
-                    x = (r.get(c, 0) - f * v) % _PRIME
-                    if x:
-                        r[c] = x
-                    else:
-                        del r[c]
-        if r:
-            col = next(iter(r))
-            inv = pow(r[col], -1, _PRIME)
-            pivots[col] = {c: v * inv % _PRIME for c, v in r.items()}
+        r = dict(row)
+        if not pivots.keys().isdisjoint(r):
+            for col, (prow, inv) in pivots.items():
+                f = r.get(col)
+                if f and f % _PRIME:
+                    f = f * inv % _PRIME
+                    for c, v in prow.items():
+                        x = (r.get(c, 0) - f * v) % _PRIME
+                        if x:
+                            r[c] = x
+                        else:
+                            r.pop(c, None)
+        col = next((c for c, v in r.items() if v % _PRIME), None)
+        if col is not None:
+            pivots[col] = (r, pow(r[col], -1, _PRIME))
     return len(pivots)
 
 

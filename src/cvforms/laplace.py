@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .cvform import CvForm, permutation_sign, valid_class
 from .poly import Polynomial
@@ -140,8 +140,7 @@ def _constant_rowblock(form: CvForm, sign: int) -> tuple[BlockFactorization, lis
     return factor, [RowBlock(blocks, groups, sign)]
 
 
-@lru_cache(maxsize=64)
-def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[tuple, ...]:
+def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
     """Admissible terms of the decoding table of one sorted zero-free form.
 
     Each term is ``(powers, odd, denom)``: the strictly decreasing powers
@@ -149,9 +148,8 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[tuple, ...]:
     and ``prod p!`` over all powers.  The parity is counted while the
     columns are picked: a column c picked from the ascending ``available``
     list at index i stands after ``n - c - (len(available) - 1 - i)``
-    larger, earlier-picked columns.  The terms depend only on the sorted
-    entries, and a run meets few entry multisets (the 720 forms of the
-    N=6 basis have 32), so the walks of the last 64 are kept.
+    larger, earlier-picked columns.  Not cached: ``_block_expansion``
+    keeps the integer value built from a walk, once per entry multiset.
     """
     n = sum(mults)
     fact = [math.factorial(p) for p in range(n)]
@@ -180,7 +178,20 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[tuple, ...]:
                 rec(rest, j + 1, block, flips, run_denom)
 
     rec(list(range(1, n + 1)), 0, (), 0, 1)
-    return tuple(terms)
+    return terms
+
+
+def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
+    """Sign and decoding table of a form after zero removal and entry sorting.
+
+    The sign is the product of the zero-removal and sort signs.  A scalar
+    form has no table: its value is the sign itself (0 for the zero form).
+    """
+    sign0, reduced = form.remove_zeros()
+    if reduced is None:
+        return sign0, None
+    sorted_form, perm, sort_sign = reduced.sort_entries()
+    return sign0 * sort_sign, build_decoding_table(sorted_form, perm)
 
 
 def _rowblock_terms(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[tuple]]:
@@ -192,17 +203,14 @@ def _rowblock_terms(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[tup
     ``prod p!`` over all powers.  Terms come in walk order; the zero form
     has no groups and no terms.
     """
-    sign0, reduced = form.remove_zeros()
-    if reduced is None:
-        if sign0 == 0:
+    sign, table = _sorted_table(form)
+    if table is None:
+        if sign == 0:
             return (), []
-        factor, (rb,) = _constant_rowblock(form, sign0)
-        return factor.vandermonde_blocks, [(rb.blocks, sign0, 1)]
-    sorted_form, perm, sort_sign = reduced.sort_entries()
-    table = build_decoding_table(sorted_form, perm)
-    base = sign0 * sort_sign
+        factor, (rb,) = _constant_rowblock(form, sign)
+        return factor.vandermonde_blocks, [(rb.blocks, sign, 1)]
     terms = _walk(table.values, table.multiplicities)
-    return table.blocks, [(powers, -base if odd else base, denom) for powers, odd, denom in terms]
+    return table.blocks, [(powers, -sign if odd else sign, denom) for powers, odd, denom in terms]
 
 
 def expand_rowblocks(form: CvForm) -> tuple[BlockFactorization, list[RowBlock]]:
@@ -263,27 +271,25 @@ def _arrangements(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int],
     )
 
 
-def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
-    """Value of a form as ``(numerators, D)``: integer coefficients over D.
+@lru_cache(maxsize=64)
+def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer value of one sorted zero-free form, with sign +1 and keys in block order.
 
-    Reads the terms of ``_rowblock_terms`` directly; no RowBlock is built
-    and nothing is sorted.  D is the lcm of the terms' ``prod p!``, so a
-    term puts ``sign * D/prod p! * sign(sigma)`` at each exponent vector
-    its alternants produce.  The blocks act on disjoint variables, so
-    those vectors are concatenations of one power arrangement per block,
-    from the module-level ``_arrangements`` table of each block's powers.
-    No vector comes from two (term, arrangement) pairs, so nothing is
-    summed; the vectors are keyed in block order and put in variable
-    order once at the end.  No Polynomial or Fraction arithmetic is
-    involved.
+    Returns ``(numerators, D)``.  D is the lcm of the terms' ``prod p!``,
+    so a term puts ``(-1)^odd * D/prod p! * sign(sigma)`` at each exponent
+    vector its alternants produce.  The blocks act on disjoint variables,
+    so those vectors are concatenations of one power arrangement per
+    block, from the ``_arrangements`` table of each block's powers.  The
+    value depends only on the entry multiset, and a run meets few of
+    them (the 720 forms of the N=6 basis have 32, the 5040 of N=7 have
+    63), so the last 64 are kept.  Callers must not mutate the dict.
     """
-    groups, terms = _rowblock_terms(form)
-    nvars = form.N
+    terms = _walk(values, mults)
     common = math.lcm(*(d for _, _, d in terms))
     acc: dict[tuple[int, ...], int] = {}
     produced = 0
-    for powers, sign, d in terms:
-        scale = sign * (common // d)
+    for powers, odd, d in terms:
+        scale = -(common // d) if odd else common // d
         partial = [(key, scale * s) for key, s in _arrangements(powers[0])]
         for blk in powers[1:]:
             partial = [(head + tail, c * s) for head, c in partial for tail, s in _arrangements(blk)]
@@ -292,14 +298,31 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     # the terms regroup the Leibniz sum of the zero-free form, in which
     # each exponent vector fixes its permutation, so no key comes twice
     if len(acc) != produced:
+        form = CvForm(v for v, m in zip(values, mults) for _ in range(m))
         raise ArithmeticError(f"two row-block terms of {form} share a monomial")
+    return acc, common
+
+
+def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
+    """Value of a form as ``(numerators, D)``: integer coefficients over D.
+
+    The block-order expansion of the sorted entries comes from the
+    per-multiset cache of ``_block_expansion``; per form, only its keys are
+    put in variable order and, for sign -1, its values negated.  Every
+    call returns a new dict.  No Polynomial or Fraction arithmetic is
+    involved.
+    """
+    nvars = form.N
+    sign, table = _sorted_table(form)
+    if table is None:
+        return ({(0,) * nvars: sign} if sign else {}), 1
+    numerators, common = _block_expansion(table.values, table.multiplicities)
     position = [0] * nvars
-    for k, v in enumerate(v for blk in groups for v in blk):
+    for k, v in enumerate(v for blk in table.blocks for v in blk):
         position[v - 1] = k
-    # always the case for N=1, where itemgetter would not return a tuple
-    if position == list(range(nvars)):
-        return acc, common
-    return dict(zip(map(itemgetter(*position), acc), acc.values())), common
+    keys = numerators.keys() if position == list(range(nvars)) else map(itemgetter(*position), numerators)
+    values = numerators.values() if sign > 0 else map(neg, numerators.values())
+    return dict(zip(keys, values)), common
 
 
 def evaluate(form: CvForm) -> Polynomial:
@@ -446,14 +469,12 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
     block, which is the leading row-block whenever the form is regular.
     Raises for forms whose expansion is empty (vanishing determinants).
     """
-    sign0, reduced = form.remove_zeros()
-    if reduced is None:
-        if sign0 == 0:
+    sign, table = _sorted_table(form)
+    if table is None:
+        if sign == 0:
             raise ValueError(f"{form} is the zero form, it has no row-blocks")
-        _, terms = _constant_rowblock(form, sign0)
+        _, terms = _constant_rowblock(form, sign)
         return terms[0]
-    sorted_form, perm, sort_sign = reduced.sort_entries()
-    table = build_decoding_table(sorted_form, perm)
     blocks: list[tuple[int, ...]] = []
     col = 1
     for a, m in zip(table.values, table.multiplicities):
@@ -461,7 +482,7 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
             raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
         blocks.append(tuple(a - c + 1 for c in range(col, col + m)))
         col += m
-    return RowBlock(tuple(blocks), table.blocks, sign0 * sort_sign)
+    return RowBlock(tuple(blocks), table.blocks, sign)
 
 
 def characteristic_monomial(rb: RowBlock) -> tuple[int, ...]:

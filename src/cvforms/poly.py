@@ -3,7 +3,8 @@
 A polynomial in ``nvars`` variables (rendered t1, t2, ...) is stored as a
 mapping from exponent tuples to nonzero integer numerators over one
 positive common denominator.  The denominator is not reduced to lowest
-terms; equality and hashing compare values, not representations.
+terms, except that a product divides out the gcd of its numerators and
+denominator; equality and hashing compare values, not representations.
 ``fractions.Fraction`` appears only at the edges: the public constructor
 takes Fraction-like coefficients, and ``terms``, ``canonical_text`` and
 ``to_json_dict`` build reduced Fractions on demand.  All operations return
@@ -18,7 +19,7 @@ Two polynomials are equal exactly when their canonical renderings coincide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, lcm, perm
 from types import MappingProxyType
 
 Exponents = tuple[int, ...]
@@ -135,16 +136,13 @@ class Polynomial:
                 for eb, cb in other._numerators.items():
                     key = tuple(x + y for x, y in zip(ea, eb))
                     out[key] = out.get(key, 0) + ca * cb
-            return Polynomial.from_numerators(
-                self.nvars, {e: c for e, c in out.items() if c}, self._denom * other._denom
-            )
+            return _lowest(self.nvars, {e: c for e, c in out.items() if c}, self._denom * other._denom)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.nvars)
             num = other.numerator
-            return Polynomial.from_numerators(
-                self.nvars, {e: c * num for e, c in self._numerators.items()}, self._denom * other.denominator
-            )
+            scaled = {e: c * num for e, c in self._numerators.items()}
+            return _lowest(self.nvars, scaled, self._denom * other.denominator)
         return NotImplemented
 
     # the ring is commutative, and so is scaling
@@ -205,6 +203,16 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.canonical_text()!r})"
+
+
+def _lowest(nvars: int, numerators: dict[Exponents, int], denom: int) -> Polynomial:
+    # a product's denominator is the product of its factors' denominators;
+    # dividing out the common gcd keeps repeated scaling from growing it
+    g = gcd(denom, *numerators.values())
+    if g > 1:
+        numerators = {e: c // g for e, c in numerators.items()}
+        denom //= g
+    return Polynomial.from_numerators(nvars, numerators, denom)
 
 
 def sum_of(nvars: int, polys) -> Polynomial:

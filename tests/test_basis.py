@@ -206,6 +206,23 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
+def _dense_rank_mod_p(rows) -> int:
+    """Rank over the field of ``_PRIME`` elements by dense Gaussian elimination."""
+    m = [[v % _PRIME for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, _PRIME)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % _PRIME
+            m[r] = [(a - f * b) % _PRIME for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 class TestCertifiedRank:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -223,6 +240,26 @@ class TestCertifiedRank:
     def test_certified_rank_matches_fraction_elimination(self, rows):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
         assert _certified_rank(sparse) == _fraction_rank(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.integers(-3, 3) | st.sampled_from([_PRIME, -_PRIME, 2 * _PRIME, 1 + _PRIME]),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_rank_mod_p_is_sound_on_multiples_of_p(self, rows):
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        before = [dict(r) for r in sparse]
+        exact = fraction_free_rank(rows)
+        assert _rank_mod_p(sparse) == _dense_rank_mod_p(rows) <= exact
+        assert sparse == before
+        assert _certified_rank(sparse) == exact
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_certificate_agrees_with_bareiss_on_every_slice(self, n):

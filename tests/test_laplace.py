@@ -281,9 +281,11 @@ class TestOraclesAgainstLeibniz:
     @pytest.mark.parametrize("oracle", [naive_oracle, derivative_oracle])
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
-        assert not names & {"expand_rowblocks", "_rowblock_terms", "_walk", "_integer_value", "evaluate"}
+        assert not names & {
+            "expand_rowblocks", "_rowblock_terms", "_walk", "_block_expansion", "_integer_value", "evaluate"
+        }
         # the walk does find the enumerator where it is used
-        assert {"_rowblock_terms", "_integer_value"} <= _laplace_names(evaluate)
+        assert {"_walk", "_block_expansion", "_integer_value"} <= _laplace_names(evaluate)
         assert "_rowblock_terms" in _laplace_names(expand_rowblocks)
 
 
@@ -305,6 +307,34 @@ class TestIntegerKernel:
 
     def test_zero_form(self):
         assert _integer_value(CvForm((0, 0, 3, 3))) == ({}, 1)
+
+    def test_every_reading_at_four_against_naive_oracle(self):
+        # the readings of one ribbon share an entry multiset and differ in
+        # position and sign
+        for order in itertools.permutations(range(1, 5)):
+            for bf in generate_basis(4, None, order).forms:
+                numerators, denom = _integer_value(bf.form)
+                value = Polynomial.from_numerators(4, numerators, denom)
+                assert value == naive_oracle(bf.form), (order, bf.form)
+
+    @pytest.mark.parametrize("entries", [(1, 2, 2, 3), (2, 2, 3, 3)])
+    def test_every_permutation_of_one_multiset_against_naive_oracle(self, entries):
+        for perm in sorted(set(itertools.permutations(entries))):
+            f = CvForm(perm)
+            numerators, denom = _integer_value(f)
+            assert Polynomial.from_numerators(4, numerators, denom) == naive_oracle(f), f
+
+    def test_returned_numerators_are_the_callers_own(self):
+        # sorted, sorted by an even and sorted by an odd permutation
+        forms = [CvForm(e) for e in ((2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 3))]
+        expect = [naive_oracle(f) for f in forms]
+        for f in forms:
+            numerators, _ = _integer_value(f)
+            for key in list(numerators):
+                numerators[key] *= 7
+            numerators[(9, 9, 9, 9)] = 1
+            for g, value in zip(forms, expect):
+                assert Polynomial.from_numerators(4, *_integer_value(g)) == value, (f, g)
 
     def test_exhaustive_five_against_naive_oracle(self):
         for entries in itertools.product(range(5), repeat=5):

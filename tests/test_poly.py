@@ -75,6 +75,17 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Polynomial.zero(2) + Polynomial.zero(3)
 
+    def test_repeated_scaling_keeps_the_denominator(self):
+        t1 = Polynomial.variable(1, 0)
+        p = t1
+        for _ in range(100):
+            p = p * Fraction(1, 2) * 2
+        assert p == t1
+        assert p._denom == 1 and p._numerators == {(1,): 1}
+        # the polynomial product reduces too: 3/6 t1 times 4/2
+        q = Polynomial.from_numerators(1, {(1,): 3}, 6) * Polynomial.from_numerators(1, {(0,): 4}, 2)
+        assert q == t1 and q._denom == 1
+
 
 exps = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
