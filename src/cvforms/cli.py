@@ -459,6 +459,8 @@ def cmd_verify(args) -> dict:
     else:  # orders; argparse admits no other suite
         orders = list(itertools.permutations(range(1, n + 1)))
         report = compare_bases(n, orders)
+        if (w := report["witness"]) is not None:
+            print(f"witness: order={_vec(w[0])} form {w[1]} is {w[2]}, expected {w[3]}", file=sys.stderr)
         checks = {"orders": len(orders), "bases": report["bases"]}
         ok = report["ok"]
     record = {"schema": "cvforms.verify/1", "suite": suite, "n": n, "checks": checks, "ok": ok}

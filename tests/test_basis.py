@@ -355,23 +355,59 @@ class TestCharacteristicUniqueness:
 
 class TestCompareBases:
     def test_three_variables_all_orders(self):
-        import itertools
-
         orders = list(itertools.permutations((1, 2, 3)))
         report = compare_bases(3, orders)
         assert report["ok"]
+        assert report["witness"] is None
         assert all(r["rank"] == 6 for r in report["bases"])
-        overlap = report["overlap"]
-        assert all(overlap[i][i] == 6 for i in range(len(orders)))
-        assert all(
-            overlap[i][j] == overlap[j][i]
-            for i in range(len(orders))
-            for j in range(len(orders))
-        )
+        assert set(report) == {"bases", "witness", "ok"}
+        assert "overlap" not in report
 
     def test_orders_disagree_somewhere(self):
-        report = compare_bases(3, [(3, 2, 1), (1, 2, 3)])
-        assert report["overlap"][0][1] < 6
+        backward, identity = (generate_basis(3, None, o) for o in [(3, 2, 1), (1, 2, 3)])
+        assert {bf.form for bf in backward.forms} != {bf.form for bf in identity.forms}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_relabeled_rank_equals_own_elimination(self, n):
+        orders = list(itertools.permutations(range(1, n + 1)))
+        report = compare_bases(n, orders)
+        assert report["witness"] is None
+        for order, r in zip(orders, report["bases"]):
+            own = verify_independence(generate_basis(n, None, order))
+            assert (r["rank"], r["independent"]) == own
+
+    def test_one_elimination_when_every_order_relabels(self, monkeypatch):
+        calls = []
+        real = basis_module.verify_independence
+        monkeypatch.setattr(basis_module, "verify_independence", lambda b: calls.append(b) or real(b))
+        report = compare_bases(4, list(itertools.permutations(range(1, 5))))
+        assert report["ok"]
+        assert [b.reading_order for b in calls] == [backward_order(4)]
+
+    @pytest.mark.parametrize(
+        "edit, index, form, expected, forms",
+        [
+            # the last form is lost: the other five are still independent
+            (lambda fs: fs[:-1], 5, None, CvForm((0, 1, 2)), 5),
+            # the first form is moved to the second form's tableau, keeping its entries
+            (lambda fs: (BasisForm(fs[0].form, fs[1].tableau), *fs[1:]), 0, CvForm((2, 2, 2)), CvForm((2, 2, 2)), 6),
+        ],
+    )
+    def test_broken_order_is_a_witness(self, monkeypatch, edit, index, form, expected, forms):
+        # both non-backward orders are broken, and the witness names the first;
+        # only the witness fails the report, the ranks stay proven by elimination
+        real = basis_module.generate_basis
+
+        def broken(n, degree=None, reading_order=None):
+            b = real(n, degree, reading_order)
+            return b if b.reading_order == (3, 2, 1) else Basis(n, degree, b.reading_order, edit(b.forms))
+
+        monkeypatch.setattr(basis_module, "generate_basis", broken)
+        report = compare_bases(3, [(3, 2, 1), (1, 2, 3), (1, 3, 2)])
+        assert not report["ok"]
+        assert report["witness"] == ((1, 2, 3), index, form, expected)
+        ranks = [(r["forms"], r["rank"], r["independent"]) for r in report["bases"]]
+        assert ranks == [(6, 6, True), (forms, forms, True), (forms, forms, True)]
 
 
 class TestFlipWithinBasis:

@@ -1,5 +1,6 @@
 """Command line behavior: golden text, JSON schemas, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -455,6 +456,99 @@ class TestVerify:
         code, _, err = run(["verify", "4", "chars"], capsys)
         assert code == 0
         assert err == ""
+
+    def test_orders_text(self, capsys):
+        code, out, err = run(["verify", "3", "orders"], capsys)
+        assert code == 0
+        assert out == (
+            "suite: orders n=3\n"
+            "reading orders: 6\n"
+            "order=(1 2 3) forms=6 rank=6\n"
+            "order=(1 3 2) forms=6 rank=6\n"
+            "order=(2 1 3) forms=6 rank=6\n"
+            "order=(2 3 1) forms=6 rank=6\n"
+            "order=(3 1 2) forms=6 rank=6\n"
+            "order=(3 2 1) forms=6 rank=6\n"
+            "result: PASS\n"
+        )
+        assert err == ""
+
+    def test_orders_json(self, capsys):
+        code, out, err = run(["verify", "2", "orders", "--format", "json"], capsys)
+        assert code == 0
+        assert out == (
+            "{\n"
+            '  "schema": "cvforms.verify/1",\n'
+            '  "suite": "orders",\n'
+            '  "n": 2,\n'
+            '  "checks": {\n'
+            '    "orders": 2,\n'
+            '    "bases": [\n'
+            "      {\n"
+            '        "order": [\n'
+            "          1,\n"
+            "          2\n"
+            "        ],\n"
+            '        "forms": 2,\n'
+            '        "rank": 2,\n'
+            '        "independent": true\n'
+            "      },\n"
+            "      {\n"
+            '        "order": [\n'
+            "          2,\n"
+            "          1\n"
+            "        ],\n"
+            '        "forms": 2,\n'
+            '        "rank": 2,\n'
+            '        "independent": true\n'
+            "      }\n"
+            "    ]\n"
+            "  },\n"
+            '  "ok": true\n'
+            "}\n"
+        )
+        assert err == ""
+
+    @staticmethod
+    def _edit_order_132(monkeypatch, edit):
+        # apply edit to the form list of the (1 3 2) basis only
+        real = basis.generate_basis
+
+        def edited(n, degree=None, reading_order=None):
+            b = real(n, degree, reading_order)
+            if b.reading_order != (1, 3, 2):
+                return b
+            forms = list(b.forms)
+            edit(forms)
+            return dataclasses.replace(b, forms=tuple(forms))
+
+        monkeypatch.setattr(basis, "generate_basis", edited)
+
+    def test_orders_duplicate_form_names_a_witness(self, capsys, monkeypatch):
+        # the (1 3 2) basis reads [2 2 2] [1 2 2] [2 2 1] [1 2 1] [1 1 2] [0 2 1]
+        def duplicate(forms):
+            forms[5] = dataclasses.replace(forms[5], form=forms[1].form)
+
+        self._edit_order_132(monkeypatch, duplicate)
+        code, out, err = run(["verify", "3", "orders"], capsys)
+        assert code == 1
+        # the failing order is ranked by its own elimination: the duplicate adds nothing
+        assert "order=(1 3 2) forms=6 rank=5" in out.splitlines()
+        assert out.splitlines()[-1] == "result: FAIL"
+        assert err == "witness: order=(1 3 2) form 5 is [1 2 2], expected [0 2 1]\n"
+
+    def test_orders_swapped_forms_name_a_witness(self, capsys, monkeypatch):
+        # two forms trade tableaux: the form set, and so the rank, is unchanged
+        def swap(forms):
+            a, b = forms[1], forms[2]
+            forms[1], forms[2] = dataclasses.replace(a, form=b.form), dataclasses.replace(b, form=a.form)
+
+        self._edit_order_132(monkeypatch, swap)
+        code, out, err = run(["verify", "3", "orders"], capsys)
+        assert code == 1
+        assert "order=(1 3 2) forms=6 rank=6" in out.splitlines()
+        assert out.splitlines()[-1] == "result: FAIL"
+        assert err == "witness: order=(1 3 2) form 1 is [2 2 1], expected [1 2 2]\n"
 
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_kmax_below_one_exits_two(self, kmax, capsys):

@@ -148,6 +148,14 @@ class TestExpansion:
                 new[perm[slot] - 1] = e
             relabeled[tuple(new)] = sign * coeff
         assert evaluate(f) == Polynomial(f.N, relabeled)
+        # in general [e o s] = sign(s) [e] with t_s(i) renamed t_i, for every
+        # permutation s of every 4^4 form; the reading orders rest on this
+        for e in itertools.product(range(4), repeat=4):
+            value = evaluate(CvForm(e))
+            for s in itertools.permutations(range(4)):
+                sign = permutation_sign(s)
+                renamed = {tuple(a[j] for j in s): sign * c for a, c in value.terms.items()}
+                assert evaluate(CvForm(e[j] for j in s)) == Polynomial(4, renamed)
 
 
 class TestRowBlockValue:
