@@ -23,16 +23,11 @@ from .basis import (
 from .cvform import CvForm, permutation_sign, valid_class
 from .laplace import (
     BlockFactorization,
-    DecodingTable,
     RowBlock,
     build_decoding_table,
-    characteristic_monomial,
-    compare_rowblocks,
     derivative_oracle,
-    diagonal_rowblock,
     evaluate,
     expand_rowblocks,
-    leading_rowblock,
     naive_oracle,
 )
 from .poly import Polynomial
@@ -42,7 +37,6 @@ from .ribbon import (
     SkewTableau,
     backward_order,
     class_to_ribbon,
-    count_syt,
     enumerate_ribbons,
     enumerate_tableaux,
     flip,
@@ -51,7 +45,6 @@ from .ribbon import (
     ribbon_from_steps,
     ribbon_generating_function,
     ribbon_index,
-    ribbon_to_class,
     ribbons_of_degree,
     tableau_from_cvform,
     tableau_to_cvform,
@@ -66,7 +59,6 @@ __all__ = [
     "BasisForm",
     "BlockFactorization",
     "CvForm",
-    "DecodingTable",
     "Polynomial",
     "Ribbon",
     "RowBlock",
@@ -74,13 +66,9 @@ __all__ = [
     "SkewTableau",
     "backward_order",
     "build_decoding_table",
-    "characteristic_monomial",
     "class_to_ribbon",
     "compare_bases",
-    "compare_rowblocks",
-    "count_syt",
     "derivative_oracle",
-    "diagonal_rowblock",
     "enumerate_ribbons",
     "enumerate_tableaux",
     "evaluate",
@@ -88,7 +76,6 @@ __all__ = [
     "flip",
     "fraction_free_rank",
     "generate_basis",
-    "leading_rowblock",
     "naive_oracle",
     "permutation_sign",
     "q_factorial",
@@ -97,7 +84,6 @@ __all__ = [
     "ribbon_from_steps",
     "ribbon_generating_function",
     "ribbon_index",
-    "ribbon_to_class",
     "ribbons_of_degree",
     "tableau_from_cvform",
     "tableau_to_cvform",

@@ -4,25 +4,29 @@ Every standard tableau on N boxes yields one confluent Vandermonde form;
 together they span the space annihilated by the power-sum operators
 ``sum_i d^k/dt_i^k`` for ``k = 1..N-1``.  This module generates those
 bases, counts their graded dimensions, and verifies harmonicity and
-linear independence with exact integer arithmetic.
+linear independence with exact integer arithmetic.  Each suite of
+``cvforms verify`` is one ``*_suite`` function here; none of them prints.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import permutations, product, zip_longest
 from math import lcm
 
-from .cvform import CvForm
-from .laplace import _integer_value, characteristic_exponents, evaluate
-from .poly import _term_key, sum_of
+from .cvform import CvForm, vector_text
+from .laplace import _integer_value, characteristic_exponents, derivative_oracle, evaluate, naive_oracle
+from .poly import Polynomial, _term_key, sum_of
 from .ribbon import (
     SkewTableau,
     backward_order,
     enumerate_ribbons,
     enumerate_tableaux,
+    flip,
     ribbons_of_degree,
+    tableau_to_cvform,
 )
 
 
@@ -329,3 +333,106 @@ def compare_bases(n: int, orders) -> dict:
             witness = (basis.reading_order, *mismatch)
         reports.append({"order": list(order), "forms": len(basis.forms), "rank": rank, "independent": independent})
     return {"bases": reports, "witness": witness, "ok": witness is None and all(r["independent"] for r in reports)}
+
+
+# ---------------------------------------------------------------- verify suites
+# Each returns its ``checks``, its verdict ``ok``, the report lines after the
+# checks (``listing``) and its witness lines (``stderr``), at most 10 forms each.
+
+
+def _monomial_text(exps) -> str:
+    return Polynomial.monomial(len(exps), exps).canonical_text()
+
+
+def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
+    """Whether the form's value is nonzero, and a witness line if its three values differ."""
+    values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
+    if values[0] == values[1] == values[2]:
+        return bool(values[0]), None
+    # the first monomial at which some value differs from the first one
+    exps = min((d.first_monomial() for d in (values[0] - values[1], values[0] - values[2]) if d), key=_term_key)
+    names = ("evaluate", "naive_oracle", "derivative_oracle")
+    coeffs = ", ".join(f"{name} {v.terms.get(exps, 0)}" for name, v in zip(names, values))
+    return bool(values[0]), f"witness: {form} first differs at {_monomial_text(exps)}: {coeffs}"
+
+
+def oracle_suite(n: int, samples: int, seed: int) -> dict:
+    """``evaluate`` against both oracles on all forms if N <= 4, else on
+    ``samples`` seeded ones; the last stderr line counts the nonzero forms."""
+    if n <= 4:
+        forms = [CvForm(e) for e in product(range(n), repeat=n)]
+        source = f"exhaustive {n}^{n}"
+    else:
+        rng = random.Random(seed)
+        forms = [CvForm(tuple(rng.randrange(n) for _ in range(n))) for _ in range(samples)]
+        source = f"{samples} seeded samples (seed {seed})"
+    results = [_oracle_check(form) for form in forms]
+    bad = [(form, witness) for form, (_, witness) in zip(forms, results) if witness is not None]
+    # vanishing forms pass every oracle trivially, so say how many did not
+    nonzero = f"nonzero forms: {sum(r[0] for r in results)} of {len(forms)}"
+    checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
+    listing = [f"mismatch: {form}" for form, _ in bad[:10]]
+    return {"checks": checks, "ok": not bad, "listing": listing, "stderr": [w for _, w in bad[:10]] + [nonzero]}
+
+
+def rank_suite(n: int, degree: int | None = None) -> dict:
+    """Exact rank of the basis, or of its degree slice, by ``verify_independence``."""
+    basis = generate_basis(n, degree)
+    rank, ok = verify_independence(basis)
+    checks = {"forms": len(basis.forms), "rank": rank, "mode": "full expansion"}
+    return {"checks": checks, "ok": ok, "listing": [], "stderr": []}
+
+
+def harmonic_suite(n: int, kmax: int | None = None) -> dict:
+    """``verify_harmonicity`` up to power sum kmax (default N-1) on every basis form."""
+    basis = generate_basis(n)
+    bad = [rep for bf in basis.forms if not (rep := verify_harmonicity(bf.form, kmax))["ok"]]
+    listing = []
+    for rep in bad[:10]:
+        k, route, exps = rep["witness"]
+        listing.append(f"failure: {rep['form']} k={k} {route} first nonzero at {_monomial_text(exps)}")
+    checks = {"forms": len(basis.forms), "kmax": n - 1 if kmax is None else kmax, "failures": len(bad)}
+    return {"checks": checks, "ok": not bad, "listing": listing, "stderr": []}
+
+
+def flip_suite(n: int) -> dict:
+    """How many basis tableaux ``flip`` maps as it should: an involution that
+    complements the degree to N(N-1)/2, stays in the basis and moves the shape."""
+    basis = generate_basis(n)
+    all_forms = {bf.form for bf in basis.forms}
+    top = n * (n - 1) // 2
+    involution = complement = member = moved = 0
+    for bf in basis.forms:
+        ft = flip(bf.tableau)
+        flipped = tableau_to_cvform(ft)
+        involution += flip(ft) == bf.tableau
+        complement += flipped.degree() + bf.form.degree() == top
+        member += flipped in all_forms
+        moved += ft.ribbon != bf.tableau.ribbon
+    total = len(basis.forms)
+    # flip swaps every step, so only the stepless one-box ribbon is fixed
+    ok = involution == complement == member == total and moved == (total if n > 1 else 0)
+    checks = {"tableaux": total, "involution": involution, "complement": complement, "member": member, "moved": moved}
+    return {"checks": checks, "ok": ok, "listing": [], "stderr": []}
+
+
+def chars_suite(n: int) -> dict:
+    """Distinct characteristic monomials; a collision is named on stderr."""
+    basis = generate_basis(n)
+    ok = verify_characteristic_uniqueness(basis)
+    stderr = []
+    if not ok:
+        a, b, exps = characteristic_collision(basis)
+        stderr.append(f"witness: {a} and {b} share the characteristic monomial {_monomial_text(exps)}")
+    return {"checks": {"forms": len(basis.forms), "distinct": ok}, "ok": ok, "listing": [], "stderr": stderr}
+
+
+def orders_suite(n: int) -> dict:
+    """``compare_bases`` over all N! reading orders, one listing line each."""
+    orders = list(permutations(range(1, n + 1)))
+    report = compare_bases(n, orders)
+    w = report["witness"]
+    stderr = [] if w is None else [f"witness: order={vector_text(w[0])} form {w[1]} is {w[2]}, expected {w[3]}"]
+    listing = [f"order={vector_text(r['order'])} forms={r['forms']} rank={r['rank']}" for r in report["bases"]]
+    checks = {"orders": len(orders), "bases": report["bases"]}
+    return {"checks": checks, "ok": report["ok"], "listing": listing, "stderr": stderr}

@@ -1,14 +1,16 @@
 """Command line front end.
 
 Subcommands cover evaluation (eval, expand, type, class), combinatorics
-(ribbon, tableaux, basis, count), verification suites (verify) and the
-tableau involution (flip).  Each command builds one record, the dict
-that ``--format json`` prints under a versioned ``schema`` key; ``main``
-prints it, or hands it to the command's text renderer, whose output is
+(ribbon, tableaux, basis, count), the verification suites of
+:mod:`cvforms.basis` (verify) and the tableau involution (flip).
+Each command builds one record, the dict that ``--format json`` prints
+under a versioned ``schema`` key, and writes nothing: ``main`` prints the
+record, or hands it to the command's text renderer, whose output is
 deterministic.  Polynomials and tableaux stay live in the record and
-become JSON through their ``to_json_dict`` only when printed.  Record
-keys that start with an underscore hold what only the text shows and are
-not printed as JSON.
+become JSON through their ``to_json_dict`` only when printed.  Keys that
+start with an underscore are not printed as JSON: ``_listing`` and the
+like hold what only the text shows, and ``main`` writes the lines of
+``_stderr`` to stderr in both formats.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on
 unusable input.
 """
@@ -16,28 +18,13 @@ unusable input.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
 
-from .basis import (
-    characteristic_collision,
-    compare_bases,
-    generate_basis,
-    q_factorial,
-    verify_characteristic_uniqueness,
-    verify_harmonicity,
-    verify_independence,
-)
-from .cvform import CvForm, vector_tokens
-from .laplace import (
-    derivative_oracle,
-    evaluate,
-    expand_rowblocks,
-    naive_oracle,
-)
-from .poly import Polynomial, _term_key
+from . import basis
+from .basis import generate_basis, q_factorial
+from .cvform import CvForm, vector_text, vector_tokens
+from .laplace import evaluate, expand_rowblocks
 from .ribbon import (
     SkewTableau,
     backward_order,
@@ -58,10 +45,6 @@ from .ribbon import (
 )
 
 DEFAULT_SEED = 1729
-
-
-def _vec(values) -> str:
-    return "(" + " ".join(str(v) for v in values) + ")"
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -177,7 +160,7 @@ def cmd_class(args) -> dict:
 
 def text_vector(record: dict, args) -> None:
     """The ``type`` or ``class`` record: its vector, keyed by the command name."""
-    print(_vec(record[args.command]))
+    print(vector_text(record[args.command]))
 
 
 def _ribbon_record(rib) -> dict:
@@ -215,7 +198,7 @@ def cmd_ribbon(args) -> dict:
 def text_ribbon(record: dict, args) -> None:
     for rib, rec in zip(record["_ribbons"], record["ribbons"]):
         print(
-            f"class={_vec(rec['class'])} index={rec['index']} "
+            f"class={vector_text(rec['class'])} index={rec['index']} "
             f"height={rec['height']} shape={to_skew_partition(rib)} tableaux={rec['tableaux']}"
         )
         if args.diagram:
@@ -239,7 +222,7 @@ def cmd_tableaux(args) -> dict:
 
 def text_tableaux(record: dict, args) -> None:
     for tab, rec in zip(record["_tableaux"], record["tableaux"]):
-        print(f"filling={_vec(rec['filling'])} form={rec['form']}")
+        print(f"filling={vector_text(rec['filling'])} form={rec['form']}")
         if args.diagram:
             print(render_tableau(tab))
 
@@ -262,9 +245,8 @@ def cmd_basis(args) -> dict:
             "classes": records,
             "total": sum(rec["tableaux"] for rec in records),
         }
-    basis = generate_basis(n, args.degree, order)
     forms = []
-    for bf in basis.forms:
+    for bf in generate_basis(n, args.degree, order).forms:
         rec = {
             "entries": list(bf.form.entries),
             "degree": bf.form.degree(),
@@ -286,16 +268,16 @@ def cmd_basis(args) -> dict:
 def text_basis(record: dict, args) -> None:
     if args.count_only:
         for rec in record["classes"]:
-            print(f"class={_vec(rec['class'])} tableaux={rec['tableaux']}")
+            print(f"class={vector_text(rec['class'])} tableaux={rec['tableaux']}")
         print(f"total={record['total']}")
         return
     n, order, forms = record["n"], record["reading_order"], record["forms"]
-    name = "backward" if tuple(order) == backward_order(n) else _vec(order)
+    name = "backward" if tuple(order) == backward_order(n) else vector_text(order)
     print(f"n={n} degree={'all' if args.degree is None else args.degree} order={name} forms={len(forms)}")
     for rec in forms:
-        line = f"{CvForm(rec['entries'])} filling={_vec(rec['tableau'].filling)}"
+        line = f"{CvForm(rec['entries'])} filling={vector_text(rec['tableau'].filling)}"
         if "type" in rec:
-            line += f" type={_vec(rec['type'])} class={_vec(rec['class'])}"
+            line += f" type={vector_text(rec['type'])} class={vector_text(rec['class'])}"
         print(line)
 
 
@@ -355,118 +337,35 @@ def _format_t_poly(coeffs: dict[int, int]) -> str:
 
 # ---------------------------------------------------------------- verify
 
-
-def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
-    """Whether ``evaluate`` gives the form a nonzero value, and a witness
-    line for stderr when the three values of the form differ."""
-    values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
-    if values[0] == values[1] == values[2]:
-        return bool(values[0]), None
-    # the first monomial at which some value differs from the first one
-    exps = min((d.first_monomial() for d in (values[0] - values[1], values[0] - values[2]) if d), key=_term_key)
-    coeffs = ", ".join(
-        f"{name} {v.terms.get(exps, 0)}"
-        for name, v in zip(("evaluate", "naive_oracle", "derivative_oracle"), values)
-    )
-    monomial = Polynomial.monomial(form.N, exps).canonical_text()
-    return bool(values[0]), f"witness: {form} first differs at {monomial}: {coeffs}"
-
-
-def _harmonic_failure(report: dict) -> str:
-    """The listing line of a form that fails the harmonic suite, with its witness."""
-    k, route, exps = report["witness"]
-    monomial = Polynomial.monomial(len(exps), exps).canonical_text()
-    return f"failure: {report['form']} k={k} {route} first nonzero at {monomial}"
+# each suite's call from the parsed flags, in the order the parser lists them
+_SUITES = {
+    "oracle": lambda args: basis.oracle_suite(args.n, args.samples, args.seed),
+    "rank": lambda args: basis.rank_suite(args.n, args.degree),
+    "harmonic": lambda args: basis.harmonic_suite(args.n, args.kmax),
+    "flip": lambda args: basis.flip_suite(args.n),
+    "chars": lambda args: basis.chars_suite(args.n),
+    "orders": lambda args: basis.orders_suite(args.n),
+}
 
 
 def cmd_verify(args) -> dict:
-    n = args.n
-    suite = args.suite
+    n, suite, kmax = args.n, args.suite, args.kmax
     if n < 1:
         raise ValueError("need at least one box")
     if args.degree is not None and suite != "rank":
         raise ValueError("--degree applies to the rank suite only")
-    listing: list[str] = []
-    if suite == "oracle":
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        if n <= 4:
-            forms = [CvForm(e) for e in itertools.product(range(n), repeat=n)]
-            source = f"exhaustive {n}^{n}"
-        else:
-            rng = random.Random(args.seed)
-            forms = [CvForm(tuple(rng.randrange(n) for _ in range(n))) for _ in range(args.samples)]
-            source = f"{args.samples} seeded samples (seed {args.seed})"
-        results = [_oracle_check(form) for form in forms]
-        bad = [(form, witness) for form, (_, witness) in zip(forms, results) if witness is not None]
-        for _, witness in bad[:10]:
-            print(witness, file=sys.stderr)
-        # vanishing forms pass every oracle trivially, so say how many did not
-        print(f"nonzero forms: {sum(nonzero for nonzero, _ in results)} of {len(forms)}", file=sys.stderr)
-        listing = [f"mismatch: {form}" for form, _ in bad[:10]]
-        checks = {"forms": len(forms), "mismatches": len(bad), "source": source}
-        ok = not bad
-    elif suite == "rank":
-        basis = generate_basis(n, args.degree)
-        rank, ok = verify_independence(basis)
-        checks = {"forms": len(basis.forms), "rank": rank, "mode": "full expansion"}
-    elif suite == "harmonic":
-        if args.kmax is not None and args.kmax < 1:
-            raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
-        if args.kmax is not None and args.kmax > n - 1:
-            if n < 2:
-                raise ValueError(f"--kmax does not apply at N={n}")
-            raise ValueError(f"--kmax must be between 1 and {n - 1}, got {args.kmax}")
-        kmax = args.kmax if args.kmax is not None else n - 1
-        basis = generate_basis(n)
-        bad = [rep for bf in basis.forms if not (rep := verify_harmonicity(bf.form, kmax))["ok"]]
-        listing = [_harmonic_failure(rep) for rep in bad[:10]]
-        checks = {"forms": len(basis.forms), "kmax": kmax, "failures": len(bad)}
-        ok = not bad
-    elif suite == "flip":
-        basis = generate_basis(n)
-        all_forms = {bf.form for bf in basis.forms}
-        top = n * (n - 1) // 2
-        involution = complement = member = moved = 0
-        for bf in basis.forms:
-            ft = flip(bf.tableau)
-            if flip(ft) == bf.tableau:
-                involution += 1
-            if tableau_to_cvform(ft).degree() + bf.form.degree() == top:
-                complement += 1
-            if tableau_to_cvform(ft) in all_forms:
-                member += 1
-            if ft.ribbon != bf.tableau.ribbon:
-                moved += 1
-        total = len(basis.forms)
-        # flip swaps every step, so only the stepless one-box ribbon is fixed
-        ok = involution == complement == member == total and moved == (total if n > 1 else 0)
-        checks = {
-            "tableaux": total,
-            "involution": involution,
-            "complement": complement,
-            "member": member,
-            "moved": moved,
-        }
-    elif suite == "chars":
-        basis = generate_basis(n)
-        ok = verify_characteristic_uniqueness(basis)
-        if not ok:
-            a, b, exps = characteristic_collision(basis)
-            monomial = Polynomial.monomial(n, exps).canonical_text()
-            print(f"witness: {a} and {b} share the characteristic monomial {monomial}", file=sys.stderr)
-        checks = {"forms": len(basis.forms), "distinct": ok}
-    else:  # orders; argparse admits no other suite
-        orders = list(itertools.permutations(range(1, n + 1)))
-        report = compare_bases(n, orders)
-        if (w := report["witness"]) is not None:
-            print(f"witness: order={_vec(w[0])} form {w[1]} is {w[2]}, expected {w[3]}", file=sys.stderr)
-        checks = {"orders": len(orders), "bases": report["bases"]}
-        ok = report["ok"]
-    record = {"schema": "cvforms.verify/1", "suite": suite, "n": n, "checks": checks, "ok": ok}
-    if listing:
-        record["_listing"] = listing
-    return record
+    if suite == "oracle" and args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if suite == "harmonic" and kmax is not None:
+        if kmax < 1:
+            raise ValueError(f"--kmax must be at least 1, got {kmax}")
+        if n < 2:
+            raise ValueError(f"--kmax does not apply at N={n}")
+        if kmax > n - 1:
+            raise ValueError(f"--kmax must be between 1 and {n - 1}, got {kmax}")
+    report = _SUITES[suite](args)
+    record = {"schema": "cvforms.verify/1", "suite": suite, "n": n, "checks": report["checks"], "ok": report["ok"]}
+    return record | {"_listing": report["listing"], "_stderr": report["stderr"]}
 
 
 # the report lines of each suite, filled in from its checks
@@ -492,9 +391,7 @@ def text_verify(record: dict, args) -> None:
     degree = "all" if args.degree is None else args.degree
     for line in _VERIFY_LINES[record["suite"]]:
         print(line.format(n=n, degree=degree, top=n * (n - 1) // 2, **checks))
-    for r in checks.get("bases", ()):
-        print(f"order={_vec(r['order'])} forms={r['forms']} rank={r['rank']}")
-    for line in record.get("_listing", ()):
+    for line in record["_listing"]:
         print(line)
     print(f"result: {'PASS' if record['ok'] else 'FAIL'}")
 
@@ -516,7 +413,10 @@ def cmd_flip(args) -> dict:
         raise ValueError("give a form, a tableau JSON object, or --file")
     body = text.strip()
     if body.startswith("{"):
-        tab = SkewTableau.from_json_dict(json.loads(body))
+        try:
+            tab = SkewTableau.from_json_dict(json.loads(body))
+        except RecursionError:  # json.loads past the interpreter's recursion limit
+            raise ValueError("tableau JSON is nested too deeply") from None
     else:
         tab = tableau_from_cvform(CvForm.parse(body))
     return {"schema": "cvforms.flip/1", "original": _flip_side(tab), "flipped": _flip_side(flip(tab))}
@@ -526,7 +426,7 @@ def text_flip(record: dict, args) -> None:
     for side in ("original", "flipped"):
         rec = record[side]
         tab = rec["tableau"]
-        print(f"{side} form: {rec['form']} degree={rec['degree']} type={_vec(tableau_to_type(tab))}")
+        print(f"{side} form: {rec['form']} degree={rec['degree']} type={vector_text(tableau_to_type(tab))}")
         print(render_tableau(tab))
 
 
@@ -588,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verification suites (exit 1 on failure)")
     p.add_argument("n", type=int)
-    p.add_argument("suite", choices=("oracle", "rank", "harmonic", "flip", "chars", "orders"))
+    p.add_argument("suite", choices=tuple(_SUITES))
     p.add_argument("--samples", type=int, default=200, help="random forms when N > 4 (oracle)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--kmax", type=int, default=None, help="largest power sum order (harmonic)")
@@ -611,6 +511,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         record = args.func(args)
+        for line in record.get("_stderr", ()):
+            print(line, file=sys.stderr)
         if args.format == "json":
             _emit_json(record)
         else:

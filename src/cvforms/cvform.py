@@ -41,6 +41,11 @@ def vector_tokens(text: str, brackets=("[]",)) -> list[str]:
     return [p for p in re.split(r"[,\s]+", body.strip()) if p]
 
 
+def vector_text(values) -> str:
+    """``(v1 v2 ...)``, the way listings print a vector."""
+    return "(" + " ".join(str(v) for v in values) + ")"
+
+
 def valid_class(entries) -> bool:
     """True when ``entries`` is a class vector.
 

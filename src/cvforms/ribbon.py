@@ -71,10 +71,6 @@ def class_to_ribbon(class_entries) -> Ribbon:
     return Ribbon(tuple((k, k + i) for i, k in enumerate(c)))
 
 
-def ribbon_to_class(r: Ribbon) -> tuple[int, ...]:
-    return r.class_entries()
-
-
 def ribbon_index(r: Ribbon) -> int:
     """Sum of the row coordinates; the degree of the attached forms."""
     return sum(k for k, _ in r.boxes)
@@ -190,10 +186,14 @@ class SkewTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewTableau":
-        """Inverse of ``to_json_dict``; malformed data raises ValueError."""
+        """Inverse of ``to_json_dict``; malformed data, a ``true`` or ``1.0`` entry included, raises ValueError."""
         try:
             boxes = tuple(tuple(b) for b in data["boxes"])
-            return cls(Ribbon(boxes), tuple(data["filling"]))
+            filling = tuple(data["filling"])
+            for x in itertools.chain(filling, *boxes):
+                if type(x) is not int:
+                    raise ValueError(f"tableau JSON entries must be integers, not {type(x).__name__}")
+            return cls(Ribbon(boxes), filling)
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the key {exc}") from None
         except TypeError as exc:

@@ -32,8 +32,14 @@ from cvforms.basis import (
     _certified_rank,
     _integer_rows,
     _rank_mod_p,
+    chars_suite,
     characteristic_collision,
     coefficient_matrix,
+    flip_suite,
+    harmonic_suite,
+    oracle_suite,
+    orders_suite,
+    rank_suite,
 )
 from cvforms.laplace import _integer_value
 from cvforms.ribbon import enumerate_tableaux, ribbons_of_degree
@@ -422,3 +428,53 @@ class TestFlipWithinBasis:
         for bf in basis.forms:
             d = tableau_to_cvform(flip(bf.tableau)).degree()
             assert d == 6 - bf.form.degree()
+
+
+class TestSuites:
+    """Each verify suite called as a library function, with nothing printed."""
+
+    def test_oracle(self, capsys):
+        report = oracle_suite(3, samples=1, seed=0)
+        checks = {"forms": 27, "mismatches": 0, "source": "exhaustive 3^3"}
+        assert report == {"checks": checks, "ok": True, "listing": [], "stderr": ["nonzero forms: 16 of 27"]}
+        sampled = oracle_suite(5, samples=6, seed=1)
+        assert sampled["checks"]["source"] == "6 seeded samples (seed 1)" and sampled["checks"]["forms"] == 6
+        assert capsys.readouterr() == ("", "")
+
+    def test_rank(self):
+        checks = {"forms": 6, "rank": 6, "mode": "full expansion"}
+        assert rank_suite(3) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+        assert rank_suite(3, 1)["checks"] == {"forms": 2, "rank": 2, "mode": "full expansion"}
+
+    def test_harmonic(self):
+        checks = {"forms": 6, "kmax": 2, "failures": 0}
+        assert harmonic_suite(3) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+        assert harmonic_suite(3, 1)["checks"]["kmax"] == 1
+
+    def test_harmonic_failure_is_listed(self, monkeypatch):
+        real = basis_module._lowered_forms
+        monkeypatch.setattr(basis_module, "_lowered_forms", lambda form, k: real(form, k)[:-1])
+        report = harmonic_suite(3, 1)
+        assert not report["ok"] and report["checks"]["failures"] == 5
+        assert report["listing"][0] == "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t1^2"
+
+    def test_flip(self):
+        checks = {"tableaux": 6, "involution": 6, "complement": 6, "member": 6, "moved": 6}
+        assert flip_suite(3) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+
+    def test_flip_counts_a_broken_flip(self, monkeypatch):
+        # the identity is an involution that keeps every form in the basis, but moves no shape
+        monkeypatch.setattr(basis_module, "flip", lambda tableau: tableau)
+        report = flip_suite(3)
+        assert report["checks"] == {"tableaux": 6, "involution": 6, "complement": 0, "member": 6, "moved": 0}
+        assert report["ok"] is False
+
+    def test_chars(self):
+        assert chars_suite(3) == {"checks": {"forms": 6, "distinct": True}, "ok": True, "listing": [], "stderr": []}
+
+    def test_orders(self):
+        report = orders_suite(3)
+        assert report["ok"] and report["stderr"] == [] and report["checks"]["orders"] == 6
+        assert report["checks"]["bases"] == compare_bases(3, itertools.permutations(range(1, 4)))["bases"]
+        assert report["listing"][:2] == ["order=(1 2 3) forms=6 rank=6", "order=(1 3 2) forms=6 rank=6"]
+        assert len(report["listing"]) == 6

@@ -364,7 +364,7 @@ class TestVerify:
         assert "result: PASS" in out
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_independence", lambda basis: (5, False))
+        monkeypatch.setattr(basis, "verify_independence", lambda basis: (5, False))
         code, out, _ = run(["verify", "3", "rank"], capsys)
         assert code == 1
         assert out.splitlines()[-1] == "result: FAIL"
@@ -402,13 +402,13 @@ class TestVerify:
         assert err == f"error: --samples must be at least 1, got {samples}\n"
 
     def test_oracle_mismatch_names_a_witness(self, capsys, monkeypatch):
-        real = cli.naive_oracle
+        real = basis.naive_oracle
 
         def wrong(form):
             value = real(form)
             return value * 2 if form.entries == (1, 2, 2) else value
 
-        monkeypatch.setattr(cli, "naive_oracle", wrong)
+        monkeypatch.setattr(basis, "naive_oracle", wrong)
         code, out, err = run(["verify", "3", "oracle"], capsys)
         assert code == 1
         assert out.splitlines()[-3:] == ["mismatches: 1", "mismatch: [1 2 2]", "result: FAIL"]
@@ -418,6 +418,11 @@ class TestVerify:
             "evaluate 1, naive_oracle 2, derivative_oracle 1\n"
             "nonzero forms: 16 of 27\n"
         )
+        # the record carries the witness; cmd_verify itself writes nothing
+        record = cli.cmd_verify(cli.build_parser().parse_args(["verify", "3", "oracle"]))
+        assert capsys.readouterr() == ("", "")
+        assert record["_stderr"] == err.splitlines()
+        assert record["_listing"] == ["mismatch: [1 2 2]"]
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -456,6 +461,60 @@ class TestVerify:
         code, _, err = run(["verify", "4", "chars"], capsys)
         assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "suite, lines, checks, err",
+        [
+            (
+                "oracle",
+                ["suite: oracle n=3 (exhaustive 3^3)", "forms checked: 27", "mismatches: 0"],
+                {"forms": 27, "mismatches": 0, "source": "exhaustive 3^3"},
+                "nonzero forms: 16 of 27\n",
+            ),
+            (
+                "flip",
+                [
+                    "suite: flip n=3",
+                    "tableaux: 6",
+                    "involution holds: 6",
+                    "degree complements to 3: 6",
+                    "flipped form in basis: 6",
+                    "shape never fixed: 6",
+                ],
+                {"tableaux": 6, "involution": 6, "complement": 6, "member": 6, "moved": 6},
+                "",
+            ),
+            (
+                "chars",
+                ["suite: chars n=3", "forms: 6", "characteristic monomials pairwise distinct: True"],
+                {"forms": 6, "distinct": True},
+                "",
+            ),
+            (
+                "rank",
+                ["suite: rank n=3 degree=all (full expansion)", "forms: 6", "rank: 6"],
+                {"forms": 6, "rank": 6, "mode": "full expansion"},
+                "",
+            ),
+        ],
+    )
+    def test_suite_output_is_pinned(self, suite, lines, checks, err, capsys):
+        assert run(["verify", "3", suite], capsys) == (0, "\n".join([*lines, "result: PASS"]) + "\n", err)
+        record = {"schema": "cvforms.verify/1", "suite": suite, "n": 3, "checks": checks, "ok": True}
+        expected = json.dumps(record, indent=2) + "\n"
+        assert run(["verify", "3", suite, "--format", "json"], capsys) == (0, expected, err)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("suite", ["oracle", "rank", "harmonic", "flip", "chars", "orders"])
+    def test_only_main_writes(self, suite, fmt, capsys, monkeypatch):
+        # every form gets one characteristic monomial, so the chars suite has a witness line too
+        real = basis.characteristic_exponents
+        monkeypatch.setattr(basis, "characteristic_exponents", lambda form: real(CvForm((2, 2, 1))))
+        argv = ["verify", "3", suite, "--format", fmt]
+        record = cli.cmd_verify(cli.build_parser().parse_args(argv))
+        assert capsys.readouterr() == ("", "")
+        assert bool(record["_stderr"]) == (suite in ("oracle", "chars"))
+        assert run(argv, capsys)[2] == "".join(line + "\n" for line in record["_stderr"])
 
     def test_orders_text(self, capsys):
         code, out, err = run(["verify", "3", "orders"], capsys)
@@ -625,6 +684,28 @@ class TestFlipCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ('{"boxes": [[0, 0], [0, 1]], "filling": [true, 2]}', "bool"),
+            ('{"boxes": [[0, 0], [0, 1]], "filling": [1.0, 2]}', "float"),
+            ('{"boxes": [[0, 0], [false, 1]], "filling": [1, 2]}', "bool"),
+            ('{"boxes": [[0, 0.0], [0, 1]], "filling": [1, 2]}', "float"),
+        ],
+    )
+    def test_tableau_json_takes_only_integers(self, text, kind, capsys):
+        # each of these equals the valid tableau in Python, which flip used to print
+        assert run(["flip", text.replace("true", "1").replace("false", "0").replace(".0", "")], capsys)[0] == 0
+        assert run(["flip", text], capsys) == (2, "", f"error: tableau JSON entries must be integers, not {kind}\n")
+
+    def test_deeply_nested_tableau_json_exits_two(self, capsys, tmp_path):
+        text = '{"boxes": ' + "[" * 20000 + "]" * 20000 + "}"
+        expected = (2, "", "error: tableau JSON is nested too deeply\n")
+        assert run(["flip", text], capsys) == expected
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert run(["flip", "--file", str(path)], capsys) == expected
 
 
 class TestDeterminism:

@@ -17,13 +17,9 @@ from cvforms import (
     Polynomial,
     RowBlock,
     build_decoding_table,
-    characteristic_monomial,
-    compare_rowblocks,
     derivative_oracle,
-    diagonal_rowblock,
     evaluate,
     expand_rowblocks,
-    leading_rowblock,
     naive_oracle,
     permutation_sign,
 )
@@ -32,6 +28,10 @@ from cvforms.basis import generate_basis
 from cvforms.laplace import (
     _integer_value,
     characteristic_exponents,
+    characteristic_monomial,
+    compare_rowblocks,
+    diagonal_rowblock,
+    leading_rowblock,
     normalized_vandermonde,
     rowblock_value,
 )

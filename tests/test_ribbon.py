@@ -13,7 +13,6 @@ from cvforms import (
     SkewTableau,
     backward_order,
     class_to_ribbon,
-    count_syt,
     enumerate_ribbons,
     enumerate_tableaux,
     flip,
@@ -23,14 +22,13 @@ from cvforms import (
     ribbon_from_steps,
     ribbon_generating_function,
     ribbon_index,
-    ribbon_to_class,
     ribbons_of_degree,
     tableau_from_cvform,
     tableau_to_cvform,
     tableau_to_type,
     to_skew_partition,
 )
-from cvforms.ribbon import count_tableaux
+from cvforms.ribbon import count_syt, count_tableaux
 
 GOLDEN_CLASS = (4, 4, 3, 2, 1, 1, 1, 0)
 GOLDEN_FILLING = (4, 8, 5, 3, 1, 2, 7, 6)
@@ -73,7 +71,7 @@ class TestRibbonShape:
     def test_round_trip_all_classes(self):
         for n in range(1, 9):
             for r in enumerate_ribbons(n):
-                cls = ribbon_to_class(r)
+                cls = r.class_entries()
                 assert class_to_ribbon(cls) == r
                 assert ribbon_index(r) == sum(cls)
 
@@ -223,7 +221,7 @@ class TestInjection:
     def test_inverse_golden(self):
         t = tableau_from_cvform(GOLDEN_FORM)
         assert t.filling == GOLDEN_FILLING
-        assert ribbon_to_class(t.ribbon) == GOLDEN_CLASS
+        assert t.ribbon.class_entries() == GOLDEN_CLASS
 
     def test_round_trip_everywhere(self):
         for n in range(1, 6):
@@ -232,7 +230,7 @@ class TestInjection:
                     form = tableau_to_cvform(t)
                     assert form.degree() == ribbon_index(r)
                     assert tableau_from_cvform(form) == t
-                    assert form.class_of() == ribbon_to_class(r)
+                    assert form.class_of() == r.class_entries()
 
     def test_types_are_distinct_per_class(self):
         for r in enumerate_ribbons(5):
@@ -242,7 +240,7 @@ class TestInjection:
     def test_top_form_is_the_column_ribbon(self):
         t = tableau_from_cvform(CvForm((3, 3, 3, 3)))
         assert t.filling == (4, 3, 2, 1)
-        assert ribbon_to_class(t.ribbon) == (3, 2, 1, 0)
+        assert t.ribbon.class_entries() == (3, 2, 1, 0)
 
     def test_non_standard_form_rejected(self):
         # [2 2 3 3] duplicates the type of [2 3 2 3] and is not standard
@@ -257,7 +255,7 @@ class TestFlip:
         t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
         ft = flip(t)
         assert tableau_to_cvform(ft) == CvForm((6, 6, 5, 3, 4, 7, 6, 3))
-        assert ribbon_to_class(ft.ribbon) == (3, 2, 2, 2, 2, 1, 0, 0)
+        assert ft.ribbon.class_entries() == (3, 2, 2, 2, 2, 1, 0, 0)
         assert str(to_skew_partition(ft.ribbon)) == "(5441)/(33)"
 
     def test_degrees_complement(self):
@@ -285,14 +283,14 @@ class TestFlip:
 
 class TestDegreeListing:
     def test_d16_classes_in_display_order(self):
-        got = [ribbon_to_class(r) for r in ribbons_of_degree(8, 16)]
+        got = [r.class_entries() for r in ribbons_of_degree(8, 16)]
         assert got == D16_CLASSES
         counts = tuple(count_syt(to_skew_partition(r)) for r in ribbons_of_degree(8, 16))
         assert counts == D16_COUNTS
         assert sum(counts) == 3450
 
     def test_d12_classes_in_display_order(self):
-        got = [ribbon_to_class(r) for r in ribbons_of_degree(8, 12)]
+        got = [r.class_entries() for r in ribbons_of_degree(8, 12)]
         assert got == D12_CLASSES
         counts = tuple(count_syt(to_skew_partition(r)) for r in ribbons_of_degree(8, 12))
         assert counts == D12_COUNTS
