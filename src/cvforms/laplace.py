@@ -514,8 +514,7 @@ def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
     ent = reduced.entries
     exps = [0] * len(ent)
     for rank, i in enumerate(sorted(range(len(ent)), key=ent.__getitem__)):
-        power = ent[i] - rank
-        if power < 0:
-            raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
-        exps[i] = power
+        exps[i] = ent[i] - rank
+    if min(exps) < 0:
+        raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
     return tuple(exps)

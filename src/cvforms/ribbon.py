@@ -16,6 +16,7 @@ import math
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 
 from .cvform import CvForm, valid_class
 
@@ -44,8 +45,10 @@ class Ribbon:
                 steps.append(BACK)
             else:
                 raise ValueError(f"illegal step {(k1, c1)} -> {(k2, c2)}")
-        # kept beside the fields: every tableau validation reads the steps
+        # kept beside the fields: every tableau validation reads the steps,
+        # and the fall word (True at a column step) checks a filling in C
         object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "_falls", tuple(s == BACK for s in steps))
 
     @property
     def size(self) -> int:
@@ -58,6 +61,10 @@ class Ribbon:
 
     def steps(self) -> tuple[str, ...]:
         return self._steps
+
+    def falls(self) -> tuple[bool, ...]:
+        """True where the walk steps up a column, so a standard filling falls."""
+        return self._falls
 
     def class_entries(self) -> tuple[int, ...]:
         return tuple(k for k, _ in self.boxes)
@@ -170,6 +177,11 @@ class SkewTableau:
     def __post_init__(self):
         n = self.ribbon.size
         w = self.filling
+        # the predicate of the loop below, in C: a permutation of 1..N that
+        # falls exactly at the column steps; only a rejected filling runs
+        # the loop, which names the fault
+        if tuple(map(gt, w, w[1:])) == self.ribbon._falls and sorted(w) == list(range(1, n + 1)):
+            return
         if sorted(w) != list(range(1, n + 1)):
             raise ValueError(f"filling {w} is not a permutation of 1..{n}")
         for (a, b), s in zip(zip(w, w[1:]), self.ribbon.steps()):

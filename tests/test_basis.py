@@ -1,5 +1,6 @@
 """Basis generation, harmonicity, and exact independence."""
 
+import collections
 import itertools
 import math
 import pickle
@@ -42,7 +43,7 @@ from cvforms.basis import (
     rank_suite,
 )
 from cvforms.laplace import _integer_value
-from cvforms.ribbon import enumerate_tableaux, ribbons_of_degree
+from cvforms.ribbon import count_tableaux, enumerate_ribbons, enumerate_tableaux, ribbons_of_degree
 
 
 class TestQFactorial:
@@ -108,11 +109,12 @@ class TestGenerateBasis:
             assert census == q_factorial(n)
 
     def test_slices_cover_the_whole(self):
-        whole = {bf.form for bf in generate_basis(4).forms}
-        sliced = set()
-        for d in range(7):
-            sliced |= {bf.form for bf in generate_basis(4, d).forms}
-        assert sliced == whole
+        # the slices enumerate per ribbon, the whole basis files permutations
+        for n in range(1, 8):
+            whole = collections.Counter(bf.form for bf in generate_basis(n).forms)
+            slices = [generate_basis(n, d) for d in range(n * (n - 1) // 2 + 1)]
+            sliced = collections.Counter(bf.form for b in slices for bf in b.forms)
+            assert sliced == whole
 
     def test_identity_reading_order(self):
         basis = generate_basis(3, None, (1, 2, 3))
@@ -146,6 +148,29 @@ class TestGenerateBasis:
     def test_basis_forms_pickle(self):
         forms = generate_basis(3).forms
         assert pickle.loads(pickle.dumps(forms)) == forms
+
+
+class TestDescentWordFiling:
+    """The full basis files permutations by fall word; the reference is the
+    per-ribbon enumeration that degree slices still use."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_equals_per_ribbon_enumeration(self, n, identity):
+        order = tuple(range(1, n + 1)) if identity else backward_order(n)
+        tableaux = [t for rib in enumerate_ribbons(n) for t in enumerate_tableaux(rib)]
+        basis = generate_basis(n, None, order)
+        assert [bf.tableau for bf in basis.forms] == tableaux
+        assert [bf.form for bf in basis.forms] == [tableau_to_cvform(t, order) for t in tableaux]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_per_ribbon_counts(self, n):
+        counts = collections.Counter(bf.tableau.ribbon for bf in generate_basis(n).forms)
+        assert [counts[rib] for rib in enumerate_ribbons(n)] == [count_tableaux(rib) for rib in enumerate_ribbons(n)]
+
+    def test_a_slice_enumerates_no_permutations(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "permutations", None)
+        assert len(generate_basis(12, 2).forms) == q_factorial(12)[2]
 
 
 class TestHarmonicity:

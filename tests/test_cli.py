@@ -447,8 +447,11 @@ class TestVerify:
             return real(CvForm((2, 2, 1)) if form.entries == (2, 1, 2) else form)
 
         monkeypatch.setattr(basis, "characteristic_exponents", colliding)
+        real_collision, calls = basis.characteristic_collision, []
+        monkeypatch.setattr(basis, "characteristic_collision", lambda b: calls.append(b) or real_collision(b))
         code, out, err = run(["verify", "3", "chars"], capsys)
-        assert code == 1
+        # one search gives both the verdict and the witness
+        assert code == 1 and len(calls) == 1
         assert out.splitlines() == [
             "suite: chars n=3",
             "forms: 6",

@@ -155,12 +155,33 @@ class TestTableaux:
         assert forms == [CvForm((3, 2, 2, 2)), CvForm((2, 3, 2, 2)), CvForm((2, 2, 3, 2))]
 
     def test_rejects_non_standard_filling(self):
-        r = class_to_ribbon((2, 1, 0, 0))
-        good = enumerate_tableaux(r)[0]
-        with pytest.raises(ValueError):
-            SkewTableau(r, tuple(reversed(good.filling)))
-        with pytest.raises(ValueError):
-            SkewTableau(r, (1, 1, 2, 3))
+        r = class_to_ribbon((2, 1, 0, 0))  # steps U U R: fall, fall, rise
+        cases = [
+            (r, (1, 1, 2, 3), "filling (1, 1, 2, 3) is not a permutation of 1..4"),
+            # falls where the ribbon does, yet holds 5
+            (r, (4, 3, 1, 5), "filling (4, 3, 1, 5) is not a permutation of 1..4"),
+            (r, (3, 2, 1), "filling (3, 2, 1) is not a permutation of 1..4"),
+            (r, (3, 2, 1, 4, 5), "filling (3, 2, 1, 4, 5) is not a permutation of 1..4"),
+            (class_to_ribbon((0,)), (), "filling () is not a permutation of 1..1"),
+            (r, (4, 3, 2, 1), "filling (4, 3, 2, 1) does not rise along a row step"),
+            (r, (4, 1, 2, 3), "filling (4, 1, 2, 3) does not fall along a column step"),
+        ]
+        for ribbon, filling, message in cases:
+            with pytest.raises(ValueError) as excinfo:
+                SkewTableau(ribbon, filling)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_accepts_exactly_the_filtered_permutations(self, n):
+        groups = brute_force_fillings(n)
+        for r in enumerate_ribbons(n):
+            for perm in itertools.permutations(range(1, n + 1)):
+                try:
+                    SkewTableau(r, perm)
+                    accepted = True
+                except ValueError:
+                    accepted = False
+                assert accepted == (perm in groups[r.steps()])
 
     def test_json_round_trip(self):
         t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
@@ -198,6 +219,7 @@ class TestLevelwiseEnumeration:
                     "R" if k2 == k1 else "U" for (k1, _), (k2, _) in zip(r.boxes, r.boxes[1:])
                 )
                 assert r.steps() == rebuilt
+                assert r.falls() == tuple(s == "U" for s in rebuilt)
                 assert Ribbon(r.boxes) == r and hash(Ribbon(r.boxes)) == hash(r)
 
     def test_small_step_words(self):
