@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
@@ -281,8 +282,11 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     so those vectors are concatenations of one power arrangement per
     block, from the ``_arrangements`` table of each block's powers.  The
     value depends only on the entry multiset, and a run meets few of
-    them (the 720 forms of the N=6 basis have 32, the 5040 of N=7 have
-    63), so the last 64 are kept.  Callers must not mutate the dict.
+    them: the N=6 basis has 32, N=7 63 and N=8 127.  The last 64 are
+    kept.  A multiset fixes the degree, so a rank proof, which goes one
+    degree slice at a time, computes each multiset once even at N=8; the
+    ``_FormRow`` views of a slice keep their dicts alive while it is
+    ranked.  Callers must not mutate the dict.
     """
     terms = _walk(values, mults)
     common = math.lcm(*(d for _, _, d in terms))
@@ -309,8 +313,8 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     The block-order expansion of the sorted entries comes from the
     per-multiset cache of ``_block_expansion``; per form, only its keys are
     put in variable order and, for sign -1, its values negated.  Every
-    call returns a new dict.  No Polynomial or Fraction arithmetic is
-    involved.
+    call returns a new dict; ``_FormRow`` reads the same numerators
+    without one.  No Polynomial or Fraction arithmetic is involved.
     """
     nvars = form.N
     sign, table = _sorted_table(form)
@@ -323,6 +327,69 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     keys = numerators.keys() if position == list(range(nvars)) else map(itemgetter(*position), numerators)
     values = numerators.values() if sign > 0 else map(neg, numerators.values())
     return dict(zip(keys, values)), common
+
+
+class _FormRow(Mapping):
+    """``_integer_value(form)[0]`` as a read-only view, with no dict of its own.
+
+    The view reads the cached block-order dict of ``_block_expansion``.
+    ``col in row`` and ``row[col]`` move a variable-order key to block
+    order with one ``itemgetter``; iteration moves each key back and
+    applies the sign as it goes.  Keys come in the order of
+    ``_integer_value``, so a nonzero form's first key is its
+    characteristic monomial.  ``items()`` is a single pass.
+    """
+
+    __slots__ = ("_numerators", "_sign", "_to_block", "_to_var")
+
+    def __init__(self, form: CvForm):
+        nvars = form.N
+        sign, table = _sorted_table(form)
+        self._to_block = self._to_var = None
+        if table is None:
+            # a scalar form, or the zero form with no key at all
+            self._numerators, self._sign = ({(0,) * nvars: sign} if sign else {}), 1
+            return
+        self._numerators, _ = _block_expansion(table.values, table.multiplicities)
+        self._sign = sign
+        # the variable index at each block position; N=1 always reads in place
+        order = [v - 1 for blk in table.blocks for v in blk]
+        if order != list(range(nvars)):
+            position = [0] * nvars
+            for k, v in enumerate(order):
+                position[v] = k
+            self._to_block, self._to_var = itemgetter(*order), itemgetter(*position)
+
+    def __getitem__(self, col):
+        value = self._numerators[col if self._to_block is None else self._to_block(col)]
+        return value if self._sign > 0 else -value
+
+    def __contains__(self, col) -> bool:
+        return (col if self._to_block is None else self._to_block(col)) in self._numerators
+
+    def __iter__(self):
+        keys = self._numerators.keys()
+        return iter(keys) if self._to_var is None else map(self._to_var, keys)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def keys(self):
+        return _RowKeys(self)
+
+    def items(self):
+        values = self._numerators.values()
+        return zip(self, values if self._sign > 0 else map(neg, values))
+
+
+class _RowKeys(KeysView):
+    # isdisjoint probes the given columns in C, one cached-dict lookup each
+    __slots__ = ()
+
+    def isdisjoint(self, cols) -> bool:
+        row = self._mapping
+        keys = row._numerators.keys()
+        return keys.isdisjoint(cols if row._to_block is None else map(row._to_block, cols))
 
 
 def evaluate(form: CvForm) -> Polynomial:

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,9 @@ from cvforms.basis import (
     _PRIME,
     _certified_rank,
     _integer_rows,
+    _lead_key,
     _rank_mod_p,
+    _slice_ranks,
     chars_suite,
     characteristic_collision,
     coefficient_matrix,
@@ -42,7 +45,8 @@ from cvforms.basis import (
     orders_suite,
     rank_suite,
 )
-from cvforms.laplace import _integer_value
+from cvforms import laplace
+from cvforms.laplace import _FormRow, _integer_value
 from cvforms.ribbon import count_tableaux, enumerate_ribbons, enumerate_tableaux, ribbons_of_degree
 
 
@@ -321,6 +325,81 @@ class TestCertifiedRank:
         monkeypatch.setattr(basis_module, "fraction_free_rank", None)
         assert _certified_rank([{0: 1, 1: 1}, {0: 1, 1: 2}]) == 2
         assert _certified_rank([]) == 0
+
+
+def _spy_reduce(monkeypatch) -> list:
+    calls = []
+    reduce = basis_module._reduce
+
+    def spy(row, pivots):
+        calls.append(len(pivots))
+        return reduce(row, pivots)
+
+    monkeypatch.setattr(basis_module, "_reduce", spy)
+    return calls
+
+
+def _slice_rows(n: int, d: int) -> list:
+    # the distinct forms of one slice as views, in the triangular order
+    forms = dict.fromkeys(bf.form for bf in generate_basis(n, d).forms)
+    return sorted(map(_FormRow, forms), key=_lead_key, reverse=True)
+
+
+class TestTriangularOrder:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_triangular_order_reduces_no_row(self, n, monkeypatch):
+        calls = _spy_reduce(monkeypatch)
+        assert verify_independence(generate_basis(n)) == (math.factorial(n), True)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_ascending_order_reduces_rows_and_keeps_full_rank(self, n, monkeypatch):
+        calls = _spy_reduce(monkeypatch)
+        for d, count in enumerate(q_factorial(n)):
+            rows = _slice_rows(n, d)[::-1]
+            assert len(rows) == count
+            assert _rank_mod_p(rows) == count, d
+        assert calls and max(calls) > 1
+
+    def test_pivot_rows_are_never_written(self, monkeypatch):
+        # read-only rows: every write, to the input or to a pivot row, raises
+        calls = _spy_reduce(monkeypatch)
+        rows = [{0: 2, 1: 1}, {0: 1, 1: 1, 2: 5}, {1: 3, 2: 1}, {0: _PRIME, 2: 2}]
+        before = [dict(r) for r in rows]
+        assert _rank_mod_p([MappingProxyType(r) for r in rows]) == 3
+        assert _rank_mod_p(rows) == 3
+        assert rows == before
+        assert calls == [1, 2, 3, 1, 2, 3]
+
+    def test_repeated_view_falls_back_to_exact_rank(self, monkeypatch):
+        calls = []
+
+        def spy(dense):
+            calls.append(dense)
+            return fraction_free_rank(dense)
+
+        monkeypatch.setattr(basis_module, "fraction_free_rank", spy)
+        f = CvForm((2, 3, 3, 3))
+        assert _certified_rank([_FormRow(f), _FormRow(f)]) == 1
+        assert len(calls) == 1 and calls[0][0] == calls[0][1]
+
+    def test_cached_expansions_are_unchanged(self):
+        forms = [bf.form for bf in generate_basis(5).forms]
+        tables = [laplace._sorted_table(f)[1] for f in forms]
+        cached = {(t.values, t.multiplicities) for t in tables if t is not None}
+        before = {key: dict(laplace._block_expansion(*key)[0]) for key in cached}
+        assert verify_independence(generate_basis(5)) == (120, True)
+        for d in range(len(q_factorial(5))):
+            _certified_rank(_slice_rows(5, d)[::-1])
+        for key, numerators in before.items():
+            after = laplace._block_expansion(*key)[0]
+            assert after == numerators and list(after) == list(numerators), key
+
+    def test_slice_ranks_follow_the_degrees(self):
+        slices = list(_slice_ranks(generate_basis(4)))
+        assert [(d, r, len(forms)) for d, r, forms in slices] == [
+            (d, c, c) for d, c in enumerate(q_factorial(4))
+        ]
 
 
 class TestIndependence:

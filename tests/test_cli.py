@@ -364,10 +364,39 @@ class TestVerify:
         assert "result: PASS" in out
 
     def test_failure_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(basis, "verify_independence", lambda basis: (5, False))
-        code, out, _ = run(["verify", "3", "rank"], capsys)
+        # a certificate one short on every slice: the first slice is named
+        monkeypatch.setattr(basis, "_certified_rank", lambda rows: len(list(rows)) - 1)
+        code, out, err = run(["verify", "3", "rank"], capsys)
         assert code == 1
-        assert out.splitlines()[-1] == "result: FAIL"
+        assert out.splitlines()[-2:] == ["rank: 2", "result: FAIL"]
+        assert err == "witness: degree 0 rank 0 of 1 forms\n"
+
+    @pytest.mark.parametrize(
+        "n, padded, witness",
+        [
+            (4, False, "witness: degree 5 rank 3 of 4 forms"),
+            (3, True, "witness: degree 1 rank 2 of 3 forms, [2 1 1] is repeated"),
+        ],
+    )
+    def test_rank_failure_names_the_first_deficient_slice(self, n, padded, witness, capsys, monkeypatch):
+        if padded:
+            full = basis.generate_basis(3)
+            forms = full.forms + (full.forms[3],)
+        else:
+            # the degree-five syzygy makes these four forms dependent
+            entries = [(2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]
+            forms = tuple(basis.BasisForm(CvForm(e), None) for e in entries)
+        bad = basis.Basis(n, None, tuple(range(n, 0, -1)), forms)
+        monkeypatch.setattr(basis, "generate_basis", lambda n, degree=None: bad)
+        code, out, err = run(["verify", str(n), "rank"], capsys)
+        assert code == 1
+        assert out.splitlines()[1:] == [f"forms: {len(forms)}", f"rank: {len(forms) - 1}", "result: FAIL"]
+        assert err == witness + "\n"
+        code, out, err = run(["verify", str(n), "rank", "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out)["checks"] == {"forms": len(forms), "rank": len(forms) - 1, "mode": "full expansion"}
+        assert json.loads(out)["ok"] is False
+        assert err == witness + "\n"
 
     def test_json_report(self, capsys):
         code, out, _ = run(["verify", "3", "rank", "--format", "json"], capsys)

@@ -1,6 +1,7 @@
 """Block expansion, row-blocks, and the determinant oracles."""
 
 import ast
+import collections
 import inspect
 import itertools
 import math
@@ -26,7 +27,9 @@ from cvforms import (
 from cvforms import laplace
 from cvforms.basis import generate_basis
 from cvforms.laplace import (
+    _FormRow,
     _integer_value,
+    _order_key,
     characteristic_exponents,
     characteristic_monomial,
     compare_rowblocks,
@@ -359,6 +362,68 @@ class TestIntegerKernel:
     def test_same_value_as_the_sorted_rowblock_kernel_on_the_six_basis(self):
         for bf in generate_basis(6).forms:
             assert _integer_value(bf.form) == _frozen_integer_value(bf.form), bf.form
+
+
+def _all_forms(max_n: int):
+    for n in range(1, max_n + 1):
+        for entries in itertools.product(range(n), repeat=n):
+            yield CvForm(entries)
+
+
+class TestFormRow:
+    def test_equals_the_integer_value_on_every_form_to_four(self):
+        kinds = collections.Counter()
+        for f in _all_forms(4):
+            expect, _ = _integer_value(f)
+            row = _FormRow(f)
+            assert dict(row) == dict(row.items()) == expect, f
+            assert row == expect and expect == row, f
+            assert list(row) == list(expect) and list(row.items()) == list(expect.items()), f
+            assert len(row) == len(expect), f
+            for col, value in expect.items():
+                assert col in row and row[col] == value and row.get(col) == value, (f, col)
+            # an exponent vector no form of degree d holds: its degree is d + 1
+            missing = (f.degree() + 1,) + (0,) * (f.N - 1)
+            assert missing not in row and row.get(missing) is None and row.get(missing, 7) == 7, f
+            with pytest.raises(KeyError):
+                row[missing]
+            kinds["zero" if not expect else "scalar" if len(expect) == 1 and f.degree() == 0 else "other"] += 1
+        # the zero form, scalar forms and N=1 are all among them
+        assert kinds["zero"] and kinds["scalar"] and kinds["other"]
+        assert dict(_FormRow(CvForm((0,)))) == {(0,): 1}
+        assert dict(_FormRow(CvForm((0, 0, 3, 3)))) == {}
+
+    def test_keys_probe_matches_a_set(self):
+        rng = random.Random(5)
+        for f in _all_forms(4):
+            row = _FormRow(f)
+            cols = set(row)
+            pool = list(cols) + [tuple(rng.randrange(4) for _ in range(f.N)) for _ in range(6)]
+            for _ in range(4):
+                probe = rng.sample(pool, rng.randrange(len(pool) + 1))
+                assert row.keys().isdisjoint(probe) == cols.isdisjoint(probe), (f, probe)
+                assert set(row.keys()) == cols
+
+    def test_view_is_read_only_and_shares_the_cached_dict(self):
+        f = CvForm((3, 3, 2, 2))
+        row = _FormRow(f)
+        with pytest.raises(TypeError):
+            row[next(iter(row))] = 0
+        _, table = laplace._sorted_table(f)
+        assert row._numerators is laplace._block_expansion(table.values, table.multiplicities)[0]
+
+    def test_first_column_is_the_characteristic_monomial(self):
+        # the triangular order of the rank proof sorts rows by it
+        for f in _all_forms(5):
+            row = _FormRow(f)
+            if not row:
+                with pytest.raises(ValueError):
+                    characteristic_exponents(f)
+                continue
+            lead = next(iter(row))
+            assert lead == characteristic_exponents(f), f
+            # and no monomial of the form lies above it in row-block order
+            assert max(_order_key(col, f.N) for col in row) == _order_key(lead, f.N), f
 
 
 def _frozen_expand_rowblocks(form: CvForm):
