@@ -14,12 +14,21 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product, zip_longest
 from math import lcm
 from operator import gt
 
 from .cvform import CvForm, vector_text
-from .laplace import _FormRow, _order_key, characteristic_exponents, derivative_oracle, evaluate, naive_oracle
+from .laplace import (
+    _expand_multiset,
+    _FormRow,
+    _order_key,
+    characteristic_exponents,
+    derivative_oracle,
+    evaluate,
+    naive_oracle,
+)
 from .poly import Polynomial, _term_key, sum_of
 from .ribbon import (
     SkewTableau,
@@ -79,7 +88,7 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"reading order {order} is not a permutation of 1..{n}")
     if degree is None:
-        ribbons = enumerate_ribbons(n)
+        ribbons = list(enumerate_ribbons(n))
         # a standard filling is a permutation falling exactly at the column
         # steps, so the N! permutations, in lexicographic order, filed by
         # fall word are every ribbon's tableaux in enumerate_tableaux order
@@ -294,18 +303,33 @@ def _slice_ranks(basis: Basis):
     Each distinct form of the slice enters ``_certified_rank`` once, as a
     ``_FormRow`` view; a repeated form adds no rank.  Rows are sorted by
     their characteristic monomials in row-block order, largest first.
-    A form's monomials all lie at or below its characteristic one in that
-    order (tested on every form with N <= 5), and a basis has distinct
-    characteristic monomials, so no row meets an earlier pivot column
-    and none is reduced: the slice is triangular in that order.
+
+    In that order the largest monomial of a nonvanishing form ``[e]`` is
+    its characteristic one.  By the Leibniz formula its monomials are the
+    ``e - s`` for the permutations s of 0..N-1 with ``s <= e``, and the
+    characteristic one takes s as the stable rank of the entries.  Any
+    other s has a pair i, j, with i before j in the stable sort of e,
+    and ``s_i > s_j``.  Swapping ``s_i`` and ``s_j`` keeps ``s <= e``.
+    If ``e_i < e_j``, both new exponents lie strictly between the old
+    ones, so the count of the smaller old exponent falls and no count
+    below it moves.  If ``e_i == e_j``, the two exponents trade places,
+    so the counts agree and the vector grows at i, the earlier index.
+    Either way the swap moves strictly up in the order, and the swaps
+    end at the stable rank.  A basis has distinct characteristic
+    monomials, so no row meets an earlier pivot column and none is
+    reduced: the slice is triangular in that order.
     """
     by_degree: dict[int, list[CvForm]] = {}
     for bf in basis.forms:
         by_degree.setdefault(bf.form.degree(), []).append(bf.form)
     for d in sorted(by_degree):
         forms = by_degree[d]
-        rows = sorted(map(_FormRow, dict.fromkeys(forms)), key=_lead_key, reverse=True)
-        yield d, _certified_rank(rows), forms
+        # one memo per slice: a multiset fixes the degree, so the slice's
+        # views and the expansions they share are dropped once it is ranked
+        expand = cache(_expand_multiset)
+        rows = (_FormRow(f, expand) for f in dict.fromkeys(forms))
+        rank = _certified_rank(sorted(rows, key=_lead_key, reverse=True))
+        yield d, rank, forms
 
 
 def verify_independence(basis: Basis) -> tuple[int, bool]:

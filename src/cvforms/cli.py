@@ -46,6 +46,16 @@ from .ribbon import (
 
 DEFAULT_SEED = 1729
 
+# the largest N that ribbon, basis and verify accept: the full listing of
+# 2^(N-1) ribbons (32 768 at N=16) and a basis of N! forms grow too fast
+# for more, and a larger N exits 2 before any work
+MAX_N = 16
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"N={n} is above the largest supported size {MAX_N}")
+
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     parts = vector_tokens(text, ("()", "[]"))
@@ -180,7 +190,8 @@ def cmd_ribbon(args) -> dict:
         n = int(args.target)
         if n < 1:
             raise ValueError("need at least one box")
-        ribbons = ribbons_of_degree(n, args.degree) if args.degree is not None else enumerate_ribbons(n)
+        _check_size(n)
+        ribbons = ribbons_of_degree(n, args.degree) if args.degree is not None else list(enumerate_ribbons(n))
     else:
         if args.degree is not None:
             raise ValueError("--degree applies to the N listing, not to a single class")
@@ -229,6 +240,7 @@ def text_tableaux(record: dict, args) -> None:
 
 def cmd_basis(args) -> dict:
     n = args.n
+    _check_size(n)
     order = _parse_order(args.order, n)
     backward = order == backward_order(n)
     if args.count_only:
@@ -352,6 +364,7 @@ def cmd_verify(args) -> dict:
     n, suite, kmax = args.n, args.suite, args.kmax
     if n < 1:
         raise ValueError("need at least one box")
+    _check_size(n)
     if args.degree is not None and suite != "rank":
         raise ValueError("--degree applies to the rank suite only")
     if suite == "oracle" and args.samples < 1:

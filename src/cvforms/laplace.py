@@ -43,14 +43,30 @@ class DecodingTable:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+        return tuple(map(len, self.blocks))
+
+
+def _grouped(entries, labels) -> DecodingTable:
+    # one pass over nondecreasing entries: each new value opens a block, and
+    # the label of every column joins the block of its value
+    values: list[int] = []
+    blocks: list[list[int]] = []
+    for e, label in zip(entries, labels):
+        if values and e == values[-1]:
+            blocks[-1].append(label)
+        else:
+            values.append(e)
+            blocks.append([label])
+    return DecodingTable(tuple(values), tuple(map(tuple, blocks)))
 
 
 def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
     """Decoding table of a nondecreasing zero-free form.
 
     ``variables`` optionally relabels the columns (1-based), as needed
-    after a stable sort moved them; defaults to ``1..N`` in place.
+    after a stable sort moved them; defaults to ``1..N`` in place.  The
+    validated entry for outside input; ``_sorted_table`` builds the same
+    table with the same grouping, from an order it has just made.
     """
     ent = form.entries
     if any(a > b for a, b in zip(ent, ent[1:])):
@@ -60,15 +76,7 @@ def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
     labels = tuple(variables) if variables is not None else tuple(range(1, form.N + 1))
     if sorted(labels) != list(range(1, form.N + 1)):
         raise ValueError(f"variable labels {labels} are not a permutation of 1..{form.N}")
-    values: list[int] = []
-    blocks: list[list[int]] = []
-    for pos, e in enumerate(ent):
-        if values and e == values[-1]:
-            blocks[-1].append(labels[pos])
-        else:
-            values.append(e)
-            blocks.append([labels[pos]])
-    return DecodingTable(tuple(values), tuple(tuple(b) for b in blocks))
+    return _grouped(ent, labels)
 
 
 @dataclass(frozen=True)
@@ -182,17 +190,37 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
     return terms
 
 
+def _order_sign(order) -> int:
+    """Sign of a permutation of ``0..N-1``, in O(N): ``(-1)^(N - cycles)``."""
+    n = len(order)
+    seen = bytearray(n)
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                i = order[i]
+    return -1 if (n - cycles) & 1 else 1
+
+
 def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
     """Sign and decoding table of a form after zero removal and entry sorting.
 
     The sign is the product of the zero-removal and sort signs.  A scalar
     form has no table: its value is the sign itself (0 for the zero form).
+    One O(N) pass past zero removal: the stable order is computed once,
+    its sign read off its cycles, and its columns grouped by ``_grouped``.
+    It equals ``sort_entries`` then ``build_decoding_table``, which build
+    a second form and check again what the sort has just made.
     """
-    sign0, reduced = form.remove_zeros()
+    sign, reduced = form.remove_zeros()
     if reduced is None:
-        return sign0, None
-    sorted_form, perm, sort_sign = reduced.sort_entries()
-    return sign0 * sort_sign, build_decoding_table(sorted_form, perm)
+        return sign, None
+    ent = reduced.entries
+    order = sorted(range(len(ent)), key=ent.__getitem__)
+    return sign * _order_sign(order), _grouped(sorted(ent), [i + 1 for i in order])
 
 
 def _rowblock_terms(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[tuple]]:
@@ -264,16 +292,19 @@ def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
+def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # every permutation of 0..m-1 with its sign, one table per block size
+    return tuple((sigma, _order_sign(sigma)) for sigma in itertools.permutations(range(m)))
+
+
+@lru_cache(maxsize=None)
 def _arrangements(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     # every (powers[sigma[0]], ..., powers[sigma[m-1]]) with sign(sigma)
-    return tuple(
-        (tuple(powers[i] for i in sigma), permutation_sign(sigma))
-        for sigma in itertools.permutations(range(len(powers)))
-    )
+    at = powers.__getitem__
+    return tuple((tuple(map(at, sigma)), sign) for sigma, sign in _signed_permutations(len(powers)))
 
 
-@lru_cache(maxsize=64)
-def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+def _expand_multiset(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """Integer value of one sorted zero-free form, with sign +1 and keys in block order.
 
     Returns ``(numerators, D)``.  D is the lcm of the terms' ``prod p!``,
@@ -281,12 +312,9 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     vector its alternants produce.  The blocks act on disjoint variables,
     so those vectors are concatenations of one power arrangement per
     block, from the ``_arrangements`` table of each block's powers.  The
-    value depends only on the entry multiset, and a run meets few of
-    them: the N=6 basis has 32, N=7 63 and N=8 127.  The last 64 are
-    kept.  A multiset fixes the degree, so a rank proof, which goes one
-    degree slice at a time, computes each multiset once even at N=8; the
-    ``_FormRow`` views of a slice keep their dicts alive while it is
-    ranked.  Callers must not mutate the dict.
+    value depends only on the entry multiset.  Not cached: ``evaluate``
+    reads it through ``_block_expansion``, and the rank proof through a
+    memo of each degree slice's own.  Callers must not mutate the dict.
     """
     terms = _walk(values, mults)
     common = math.lcm(*(d for _, _, d in terms))
@@ -305,6 +333,21 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
         form = CvForm(v for v, m in zip(values, mults) for _ in range(m))
         raise ArithmeticError(f"two row-block terms of {form} share a monomial")
     return acc, common
+
+
+@lru_cache(maxsize=64)
+def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+    """``_expand_multiset``, the last 64 entry multisets kept.
+
+    A run meets few multisets: the N=6 basis has 32, N=7 63 and N=8 127.
+    ``evaluate`` meets the same ones again and again (``verify 5
+    harmonic`` evaluates 965 distinct forms 1920 times), so it reads them
+    here.  The rank proof does not: a multiset fixes the degree and is
+    never met again once its slice is ranked, so ``basis._slice_ranks``
+    gives each slice a memo of its own, which the slice's ``_FormRow``
+    views alone keep alive.  Callers must not mutate the dict.
+    """
+    return _expand_multiset(values, mults)
 
 
 def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
@@ -332,7 +375,10 @@ def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
 class _FormRow(Mapping):
     """``_integer_value(form)[0]`` as a read-only view, with no dict of its own.
 
-    The view reads the cached block-order dict of ``_block_expansion``.
+    The view reads the block-order dict that ``expand`` (``values, mults
+    -> (numerators, D)``) returns for the form's entry multiset; by default
+    the cached one of ``_block_expansion``.  Views of one multiset given
+    one memoized ``expand`` share one dict.
     ``col in row`` and ``row[col]`` move a variable-order key to block
     order with one ``itemgetter``; iteration moves each key back and
     applies the sign as it goes.  Keys come in the order of
@@ -342,7 +388,7 @@ class _FormRow(Mapping):
 
     __slots__ = ("_numerators", "_sign", "_to_block", "_to_var")
 
-    def __init__(self, form: CvForm):
+    def __init__(self, form: CvForm, expand=None):
         nvars = form.N
         sign, table = _sorted_table(form)
         self._to_block = self._to_var = None
@@ -350,7 +396,7 @@ class _FormRow(Mapping):
             # a scalar form, or the zero form with no key at all
             self._numerators, self._sign = ({(0,) * nvars: sign} if sign else {}), 1
             return
-        self._numerators, _ = _block_expansion(table.values, table.multiplicities)
+        self._numerators, _ = (expand or _block_expansion)(table.values, table.multiplicities)
         self._sign = sign
         # the variable index at each block position; N=1 always reads in place
         order = [v - 1 for blk in table.blocks for v in blk]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import gt
@@ -316,23 +317,30 @@ def flip(t: SkewTableau) -> SkewTableau:
     return SkewTableau(ribbon_from_steps(swapped), tuple(n + 1 - v for v in t.filling))
 
 
-def enumerate_ribbons(n: int) -> list[Ribbon]:
-    """All 2^(N-1) ribbons on N boxes, classes descending lexicographic."""
+def enumerate_ribbons(n: int) -> Iterator[Ribbon]:
+    """All 2^(N-1) ribbons on N boxes, classes descending lexicographic.
+
+    An iterator: one ribbon is built at a time, with no recursion.  A
+    class counts, at each box, the column steps after it, so the first
+    entry is the number of column steps and, among equal numbers, a row
+    step earlier in the walk leaves a larger class.  So the classes come
+    by descending number of column steps, and within one number by the
+    row-step positions in lexicographic order.
+    """
     if n < 1:
         raise ValueError("need at least one box")
-    classes: list[tuple[int, ...]] = []
+    return (class_to_ribbon(c) for c in _classes(n))
 
-    def rec(suffix: list[int]) -> None:
-        if len(suffix) == n:
-            classes.append(tuple(suffix))
-            return
-        head = suffix[0]
-        rec([head] + suffix)
-        rec([head + 1] + suffix)
 
-    rec([0])
-    classes.sort(reverse=True)
-    return [class_to_ribbon(c) for c in classes]
+def _classes(n: int):
+    # the classes of enumerate_ribbons, in its order: the step word holds 1
+    # at a column step, and class entry i sums the word from step i on
+    for columns in range(n - 1, -1, -1):
+        for rows in itertools.combinations(range(n - 1), n - 1 - columns):
+            word = [1] * (n - 1)
+            for j in rows:
+                word[j] = 0
+            yield tuple(itertools.accumulate(reversed(word), initial=0))[::-1]
 
 
 def _bounded_partitions(total: int, max_parts: int, largest: int):

@@ -212,7 +212,7 @@ def test_criterion_10_counting_identities():
     t0 = time.perf_counter()
     ok = True
     for n in range(1, 9):
-        ribbons = enumerate_ribbons(n)
+        ribbons = list(enumerate_ribbons(n))
         ok = ok and len(ribbons) == 2 ** (n - 1)
         total = sum(count_syt(to_skew_partition(r)) for r in ribbons)
         ok = ok and total == math.factorial(n)

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import pickle
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -394,6 +395,46 @@ class TestTriangularOrder:
         for key, numerators in before.items():
             after = laplace._block_expansion(*key)[0]
             assert after == numerators and list(after) == list(numerators), key
+
+    def test_each_slice_expands_its_multisets_once_and_leaves_the_cache(self, monkeypatch):
+        calls = []
+        expand = laplace._expand_multiset
+
+        def spy(values, mults):
+            calls.append((values, mults))
+            return expand(values, mults)
+
+        monkeypatch.setattr(basis_module, "_expand_multiset", spy)
+        before = laplace._block_expansion.cache_info()
+        assert verify_independence(generate_basis(6)) == (720, True)
+        assert laplace._block_expansion.cache_info() == before
+        # the N=6 basis has 32 entry multisets, each met in one slice only;
+        # the degree-0 one is all distinct, a scalar with no expansion
+        assert len(calls) == len(set(calls)) == 31
+
+    def test_a_ranked_slice_holds_no_expansion(self, monkeypatch):
+        class Numerators(dict):
+            __slots__ = ("__weakref__",)
+
+        refs = {}
+        expand = laplace._expand_multiset
+
+        def spy(values, mults):
+            numerators, common = expand(values, mults)
+            kept = Numerators(numerators)
+            refs.setdefault(degree, []).append(weakref.ref(kept))
+            return kept, common
+
+        monkeypatch.setattr(basis_module, "_expand_multiset", spy)
+        degree = 0
+        for d, rank, forms in _slice_ranks(generate_basis(6)):
+            assert rank == len(forms)
+            # only the scalar degree-0 slice expands nothing
+            assert (d == 0) == (d not in refs)
+            assert all(ref() is not None for ref in refs.get(d, ()))
+            assert all(ref() is None for e in refs if e < d for ref in refs[e]), d
+            degree = d + 1
+        assert degree == len(q_factorial(6))
 
     def test_slice_ranks_follow_the_degrees(self):
         slices = list(_slice_ranks(generate_basis(4)))

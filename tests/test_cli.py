@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,7 +199,7 @@ class TestCount:
     def test_ribbons_equal_the_enumeration(self, n, capsys):
         code, out, _ = run(["count", str(n), "ribbons"], capsys)
         assert code == 0
-        assert out == f"{len(enumerate_ribbons(n))}\n"
+        assert out == f"{len(list(enumerate_ribbons(n)))}\n"
 
     def test_ribbons_need_no_enumeration(self, capsys):
         # 2^59 ribbons could never be built one by one
@@ -789,3 +790,53 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 3 5 6 5 3 1\n"
+
+
+class _Started(Exception):
+    """Raised by a patched entry point: the run got past the size guard."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    # every enumeration and suite the guarded commands reach raises
+    def started(*args, **kwargs):
+        raise _Started
+
+    for name in ("enumerate_ribbons", "ribbons_of_degree", "generate_basis"):
+        monkeypatch.setattr(cli, name, started)
+    for name in ("oracle_suite", "rank_suite", "harmonic_suite", "flip_suite", "chars_suite", "orders_suite"):
+        monkeypatch.setattr(basis, name, started)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ribbon", "1100"],
+            ["ribbon", "17", "--degree", "3"],
+            ["basis", "1100", "--count-only"],
+            ["basis", "17", "--degree", "2", "--format", "json"],
+            ["verify", "1100", "chars"],
+            ["verify", "17", "rank", "--degree", "2"],
+            ["verify", "17", "oracle", "--format", "json"],
+        ],
+    )
+    def test_refuses_before_any_work(self, argv, no_work, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: N={argv[1]} is above the largest supported size {cli.MAX_N}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ribbon", "{n}"], ["basis", "{n}", "--count-only"], ["basis", "{n}"], ["verify", "{n}", "chars"]],
+    )
+    def test_accepts_the_largest_size(self, argv, no_work):
+        with pytest.raises(_Started):
+            cli.main([a.format(n=cli.MAX_N) for a in argv])
+
+    def test_accepts_every_size_the_workflow_runs(self):
+        workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+        sizes = [int(n) for n in re.findall(r"cvforms (?:ribbon|basis|verify) (\d+)", workflow.read_text())]
+        assert 14 in sizes and 8 in sizes
+        assert max(sizes) <= cli.MAX_N

@@ -658,3 +658,54 @@ class TestCharacteristicKernel:
             with pytest.raises(ValueError) as info:
                 route(CvForm(entries))
             assert str(info.value) == message
+
+
+class TestLeibnizSupport:
+    def test_characteristic_monomial_is_the_largest_of_the_support(self):
+        # the monomials of [e] are the e - s with s a permutation, s <= e;
+        # the row-block order maximum is the characteristic monomial
+        nonvanishing = collections.Counter()
+        for f in _all_forms(5):
+            n, ent = f.N, f.entries
+            support = [
+                tuple(e - s for e, s in zip(ent, sigma))
+                for sigma in itertools.permutations(range(n))
+                if all(s <= e for s, e in zip(sigma, ent))
+            ]
+            if not support:
+                with pytest.raises(ValueError):
+                    characteristic_exponents(f)
+                continue
+            nonvanishing[n] += 1
+            assert max(support, key=lambda a: _order_key(a, n)) == characteristic_exponents(f), f
+        # (N+1)^(N-1) nonvanishing forms, the parking functions
+        assert [nonvanishing[n] for n in range(1, 6)] == [1, 3, 16, 125, 1296]
+
+
+def _chained_table(form: CvForm):
+    """The validated chain that ``_sorted_table`` replaces: a second form
+    from ``sort_entries`` and every check of ``build_decoding_table``."""
+    sign, reduced = form.remove_zeros()
+    if reduced is None:
+        return sign, None
+    sorted_form, perm, sort_sign = reduced.sort_entries()
+    return sign * sort_sign, build_decoding_table(sorted_form, perm)
+
+
+class TestSortedTable:
+    def test_one_pass_equals_the_validated_chain(self):
+        signs = collections.Counter()
+        for f in _all_forms(5):
+            sign, table = laplace._sorted_table(f)
+            assert (sign, table) == _chained_table(f), f
+            signs[sign, table is None] += 1
+        # both signs with a table, both scalars and the zero form
+        assert set(signs) == {(1, False), (-1, False), (1, True), (-1, True), (0, True)}
+
+    def test_one_sign_table_per_block_size(self):
+        for m in range(1, 8):
+            table = laplace._signed_permutations(m)
+            assert [sigma for sigma, _ in table] == list(itertools.permutations(range(m)))
+            for sigma, sign in table:
+                assert sign == permutation_sign(sigma), sigma
+

@@ -27,6 +27,7 @@ from cvforms import (
     tableau_to_cvform,
     tableau_to_type,
     to_skew_partition,
+    valid_class,
 )
 from cvforms.ribbon import count_syt, count_tableaux
 
@@ -91,7 +92,24 @@ class TestRibbonShape:
 
     def test_count_is_power_of_two(self):
         for n in range(1, 9):
-            assert len(enumerate_ribbons(n)) == 2 ** (n - 1)
+            assert len(list(enumerate_ribbons(n))) == 2 ** (n - 1)
+
+    def test_every_class_once_descending(self):
+        for n in range(1, 11):
+            classes = [r.class_entries() for r in enumerate_ribbons(n)]
+            assert len(classes) == 2 ** (n - 1)
+            assert classes == sorted(set(classes), reverse=True)
+            assert all(valid_class(c) for c in classes)
+
+    def test_enumeration_is_lazy_and_iterative(self):
+        # 2^1099 ribbons, far past the recursion limit: only two are built
+        ribbons = enumerate_ribbons(1100)
+        assert next(ribbons).class_entries() == tuple(range(1099, -1, -1))
+        assert next(ribbons).class_entries() == (1098,) + tuple(range(1098, -1, -1))
+
+    def test_rejects_no_boxes_before_iterating(self):
+        with pytest.raises(ValueError, match="need at least one box"):
+            enumerate_ribbons(0)
 
 
 class TestSkewPartition:
