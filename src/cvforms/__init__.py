@@ -22,7 +22,6 @@ from .basis import (
 )
 from .cvform import CvForm, permutation_sign, valid_class
 from .laplace import (
-    BlockFactorization,
     RowBlock,
     build_decoding_table,
     derivative_oracle,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis",
     "BasisForm",
-    "BlockFactorization",
     "CvForm",
     "Polynomial",
     "Ribbon",

@@ -119,9 +119,9 @@ def cmd_eval(args) -> dict:
         "polynomial": evaluate(form),
     }
     if args.trace:
-        factor, terms = expand_rowblocks(form)
+        groups, terms = expand_rowblocks(form)
         record["trace"] = {
-            "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
+            "vandermonde_blocks": [list(b) for b in groups],
             "terms": _term_records(terms, schur=True),
         }
         record["_terms"] = terms
@@ -142,12 +142,12 @@ def text_eval(record: dict, args) -> None:
 
 def cmd_expand(args) -> dict:
     form = CvForm.parse(args.form)
-    factor, terms = expand_rowblocks(form)
+    groups, terms = expand_rowblocks(form)
     return {
         "schema": "cvforms.expand/1",
         "form": str(form),
         "nvars": form.N,
-        "vandermonde_blocks": [list(b) for b in factor.vandermonde_blocks],
+        "vandermonde_blocks": [list(b) for b in groups],
         "terms": _term_records(terms, schur=False),
         "_terms": terms,
     }

@@ -103,18 +103,6 @@ class RowBlock:
         return ("-" if self.total_sign < 0 else "+") + self.bars()
 
 
-@dataclass(frozen=True)
-class BlockFactorization:
-    """Variable grouping shared by every term of one expansion.
-
-    Each group contributes a common Vandermonde factor on its variables;
-    the zero form is represented by an empty grouping.
-    """
-
-    vandermonde_blocks: tuple[tuple[int, ...], ...]
-    nvars: int
-
-
 def _order_key(entries: tuple[int, ...], size: int) -> tuple:
     # sort key of the row-block order: the counts of the values 0..size-1,
     # negated, then the flattened entries themselves
@@ -139,14 +127,12 @@ def compare_rowblocks(a: RowBlock, b: RowBlock) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _constant_rowblock(form: CvForm, sign: int) -> tuple[BlockFactorization, list[RowBlock]]:
+def _constant_rowblock(form: CvForm, sign: int) -> RowBlock:
     # All-distinct entries: the expansion collapses to |0|0|...|0| on
     # singleton blocks taken in sorted entry order.
     order = sorted(range(form.N), key=lambda i: (form.entries[i], i))
     groups = tuple((i + 1,) for i in order)
-    blocks = tuple((0,) for _ in range(form.N))
-    factor = BlockFactorization(groups, form.N)
-    return factor, [RowBlock(blocks, groups, sign)]
+    return RowBlock(tuple((0,) for _ in range(form.N)), groups, sign)
 
 
 def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
@@ -223,37 +209,29 @@ def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
     return sign * _order_sign(order), _grouped(sorted(ent), [i + 1 for i in order])
 
 
-def _rowblock_terms(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[tuple]]:
-    """Variable groups and admissible terms of a form's block expansion.
+def expand_rowblocks(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[RowBlock]]:
+    """Variable groups and signed row-blocks of a form, largest first in row-block order.
 
-    The decoding-table walk of the module docstring, without RowBlock
-    objects or sorting.  Each term is ``(powers, sign, denom)``: the
-    strictly decreasing powers of every block's minor, the total sign and
-    ``prod p!`` over all powers.  Terms come in walk order; the zero form
-    has no groups and no terms.
+    The decoding-table walk of the module docstring.  Each group carries a
+    common Vandermonde factor on its variables and is the
+    ``var_partition`` of every row-block.  Zero removal and entry sorting
+    are applied internally and their signs folded into each term.  The
+    zero form has no groups and no terms.
     """
     sign, table = _sorted_table(form)
     if table is None:
         if sign == 0:
             return (), []
-        factor, (rb,) = _constant_rowblock(form, sign)
-        return factor.vandermonde_blocks, [(rb.blocks, sign, 1)]
-    terms = _walk(table.values, table.multiplicities)
-    return table.blocks, [(powers, -sign if odd else sign, denom) for powers, odd, denom in terms]
-
-
-def expand_rowblocks(form: CvForm) -> tuple[BlockFactorization, list[RowBlock]]:
-    """Signed row-blocks of a form, largest first in row-block order.
-
-    Zero removal and entry sorting are applied internally and their signs
-    folded into each term.  The zero form produces an empty term list.
-    """
-    groups, terms = _rowblock_terms(form)
-    n = form.N
-    rowblocks = [RowBlock(powers, groups, sign) for powers, sign, _ in terms]
-    # powers never exceed n - 1
-    rowblocks.sort(key=lambda rb: _order_key(rb.entries(), n), reverse=True)
-    return BlockFactorization(groups, n), rowblocks
+        rb = _constant_rowblock(form, sign)
+        return rb.var_partition, [rb]
+    groups = table.blocks
+    rowblocks = [
+        RowBlock(powers, groups, -sign if odd else sign)
+        for powers, odd, _ in _walk(table.values, table.multiplicities)
+    ]
+    # powers never exceed N - 1
+    rowblocks.sort(key=lambda rb: _order_key(rb.entries(), form.N), reverse=True)
+    return groups, rowblocks
 
 
 def _alternant(powers, variables, nvars: int) -> Polynomial:
@@ -270,24 +248,26 @@ def _alternant(powers, variables, nvars: int) -> Polynomial:
     return Polynomial.from_numerators(nvars, numerators, denom)
 
 
-def rowblock_value(rb: RowBlock, factor: BlockFactorization) -> Polynomial:
+def rowblock_value(rb: RowBlock) -> Polynomial:
     """Unsigned polynomial value of one row-block.
 
     The product of the block alternants divided by the factorials of the
     powers; this already carries the common Vandermonde factors of each
-    variable group.  ``total_sign`` is deliberately not applied.  A slow
-    reference for ``evaluate``: the signed row-block values sum to it.
+    variable group.  N is the size of ``var_partition``, which must cover
+    1..N exactly once.  ``total_sign`` is deliberately not applied.  A
+    slow reference for ``evaluate``: the signed row-block values sum to it.
     """
     if len(rb.blocks) != len(rb.var_partition):
         raise ValueError("power blocks and variable partition disagree")
     covered = sorted(v for blk in rb.var_partition for v in blk)
-    if covered != list(range(1, factor.nvars + 1)):
+    nvars = len(covered)
+    if covered != list(range(1, nvars + 1)):
         raise ValueError("variable partition does not cover 1..N exactly once")
-    value = Polynomial.constant(factor.nvars, 1)
+    value = Polynomial.constant(nvars, 1)
     for powers, variables in zip(rb.blocks, rb.var_partition):
         if len(powers) != len(variables):
             raise ValueError("block size mismatch between powers and variables")
-        value = value * _alternant(powers, variables, factor.nvars)
+        value = value * _alternant(powers, variables, nvars)
     return value
 
 
@@ -353,40 +333,28 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
 def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
     """Value of a form as ``(numerators, D)``: integer coefficients over D.
 
-    The block-order expansion of the sorted entries comes from the
-    per-multiset cache of ``_block_expansion``; per form, only its keys are
-    put in variable order and, for sign -1, its values negated.  Every
-    call returns a new dict; ``_FormRow`` reads the same numerators
-    without one.  No Polynomial or Fraction arithmetic is involved.
+    The items of the form's ``_FormRow``, copied into a new dict on every
+    call.  No Polynomial or Fraction arithmetic is involved.
     """
-    nvars = form.N
-    sign, table = _sorted_table(form)
-    if table is None:
-        return ({(0,) * nvars: sign} if sign else {}), 1
-    numerators, common = _block_expansion(table.values, table.multiplicities)
-    position = [0] * nvars
-    for k, v in enumerate(v for blk in table.blocks for v in blk):
-        position[v - 1] = k
-    keys = numerators.keys() if position == list(range(nvars)) else map(itemgetter(*position), numerators)
-    values = numerators.values() if sign > 0 else map(neg, numerators.values())
-    return dict(zip(keys, values)), common
+    row = _FormRow(form)
+    return dict(row.items()), row.denom
 
 
 class _FormRow(Mapping):
-    """``_integer_value(form)[0]`` as a read-only view, with no dict of its own.
+    """A form's numerators in variable order, as a read-only view with no dict of its own.
 
-    The view reads the block-order dict that ``expand`` (``values, mults
-    -> (numerators, D)``) returns for the form's entry multiset; by default
-    the cached one of ``_block_expansion``.  Views of one multiset given
-    one memoized ``expand`` share one dict.
+    The view reads the block-order ``(numerators, D)`` that ``expand``
+    (``values, mults -> (numerators, D)``) returns for the form's entry
+    multiset; by default the cached one of ``_block_expansion``.  Views of
+    one multiset given one memoized ``expand`` share one dict; ``denom``
+    is its D, and 1 for a scalar or zero form.
     ``col in row`` and ``row[col]`` move a variable-order key to block
     order with one ``itemgetter``; iteration moves each key back and
-    applies the sign as it goes.  Keys come in the order of
-    ``_integer_value``, so a nonzero form's first key is its
+    applies the sign as it goes.  A nonzero form's first key is its
     characteristic monomial.  ``items()`` is a single pass.
     """
 
-    __slots__ = ("_numerators", "_sign", "_to_block", "_to_var")
+    __slots__ = ("_numerators", "denom", "_sign", "_to_block", "_to_var")
 
     def __init__(self, form: CvForm, expand=None):
         nvars = form.N
@@ -394,9 +362,9 @@ class _FormRow(Mapping):
         self._to_block = self._to_var = None
         if table is None:
             # a scalar form, or the zero form with no key at all
-            self._numerators, self._sign = ({(0,) * nvars: sign} if sign else {}), 1
+            self._numerators, self.denom, self._sign = ({(0,) * nvars: sign} if sign else {}), 1, 1
             return
-        self._numerators, _ = (expand or _block_expansion)(table.values, table.multiplicities)
+        self._numerators, self.denom = (expand or _block_expansion)(table.values, table.multiplicities)
         self._sign = sign
         # the variable index at each block position; N=1 always reads in place
         order = [v - 1 for blk in table.blocks for v in blk]
@@ -586,8 +554,7 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
     if table is None:
         if sign == 0:
             raise ValueError(f"{form} is the zero form, it has no row-blocks")
-        _, terms = _constant_rowblock(form, sign)
-        return terms[0]
+        return _constant_rowblock(form, sign)
     blocks: list[tuple[int, ...]] = []
     col = 1
     for a, m in zip(table.values, table.multiplicities):

@@ -95,9 +95,6 @@ class Polynomial:
         d = self._denom
         return MappingProxyType({e: Fraction(c, d) for e, c in self._numerators.items()})
 
-    def is_zero(self) -> bool:
-        return not self._numerators
-
     def __bool__(self) -> bool:
         return bool(self._numerators)
 

@@ -343,40 +343,17 @@ def _classes(n: int):
             yield tuple(itertools.accumulate(reversed(word), initial=0))[::-1]
 
 
-def _bounded_partitions(total: int, max_parts: int, largest: int):
-    if total == 0:
-        yield ()
-        return
-    if max_parts == 0:
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _bounded_partitions(total - first, max_parts - 1, first):
-            yield (first,) + rest
-
-
 def ribbons_of_degree(n: int, d: int) -> list[Ribbon]:
     """Ribbons of index d, classes descending lexicographic.
 
-    For each height l+1 the classes correspond to partitions of
-    ``d - l(l+1)/2`` into at most ``N-l-1`` parts, each part at most l;
-    a part of size k raises the multiplicity of row coordinate k by one.
+    The classes of ``enumerate_ribbons`` whose entries sum to d, in its
+    order, which is already descending.  Their count is the coefficient
+    of q^d in ``ribbon_generating_function``.
     """
     top = n * (n - 1) // 2
     if not 0 <= d <= top:
         raise ValueError(f"degree {d} outside 0..{top} for {n} boxes")
-    classes: list[tuple[int, ...]] = []
-    for l in range(n):
-        rem = d - l * (l + 1) // 2
-        if rem < 0:
-            continue
-        for part in _bounded_partitions(rem, n - l - 1, l):
-            mult = [1] * (l + 1)
-            for p in part:
-                mult[p] += 1
-            mult[0] += (n - l - 1) - len(part)
-            classes.append(tuple(k for k in range(l, -1, -1) for _ in range(mult[k])))
-    classes.sort(reverse=True)
-    return [class_to_ribbon(c) for c in classes]
+    return [class_to_ribbon(c) for c in _classes(n) if sum(c) == d]
 
 
 def ribbon_generating_function(n: int) -> dict[tuple[int, int], int]:
@@ -397,36 +374,27 @@ def ribbon_generating_function(n: int) -> dict[tuple[int, int], int]:
     return coeffs
 
 
-def _grid(r: Ribbon) -> tuple[int, int, dict[tuple[int, int], int]]:
-    top = r.boxes[0][0]
+def _render(r: Ribbon, label) -> str:
+    # ASCII grid of r, English convention (row 0 printed first): the box
+    # at reading position idx shows label(idx), every other cell a dot
     width = r.boxes[-1][1] + 1
     pos = {box: idx for idx, box in enumerate(r.boxes)}
-    return top, width, pos
+    cell = len(str(r.size))
+    lines = []
+    for row in range(r.boxes[0][0] + 1):
+        cells = []
+        for col in range(width):
+            idx = pos.get((row, col))
+            cells.append((label(idx) if idx is not None else ".").rjust(cell))
+        lines.append(" ".join(cells).rstrip())
+    return "\n".join(lines)
 
 
 def render_ribbon(r: Ribbon) -> str:
     """ASCII diagram, English convention (row 0 printed first)."""
-    top, width, pos = _grid(r)
-    cell = len(str(r.size))
-    lines = []
-    for row in range(top + 1):
-        cells = []
-        for col in range(width):
-            cells.append(("#" if (row, col) in pos else ".").rjust(cell))
-        lines.append(" ".join(cells).rstrip())
-    return "\n".join(lines)
+    return _render(r, lambda idx: "#")
 
 
 def render_tableau(t: SkewTableau) -> str:
     """ASCII diagram with the filling values in place."""
-    r = t.ribbon
-    top, width, pos = _grid(r)
-    cell = len(str(r.size))
-    lines = []
-    for row in range(top + 1):
-        cells = []
-        for col in range(width):
-            idx = pos.get((row, col))
-            cells.append((str(t.filling[idx]) if idx is not None else ".").rjust(cell))
-        lines.append(" ".join(cells).rstrip())
-    return "\n".join(lines)
+    return _render(t.ribbon, lambda idx: str(t.filling[idx]))

@@ -87,6 +87,26 @@ class TestExpand:
         assert data["vandermonde_blocks"] == [[1, 2], [3, 4]]
         assert [t["sign"] for t in data["terms"]] == [1, -1, 1]
 
+    def test_zero_and_scalar_form_json(self, capsys):
+        # the zero form has no groups and no terms; all-distinct entries give
+        # one |0|0|0| term on singleton groups in sorted entry order
+        scalar_groups = [[2], [3], [1]]
+        scalar_term = {"sign": 1, "blocks": [[0], [0], [0]], "var_partition": scalar_groups}
+        for form, nvars, groups, terms, text in [
+            ("[0 0 3 3]", 4, [], [], ""),
+            ("[2 0 1]", 3, scalar_groups, [scalar_term], "+|0|0|0|\n"),
+        ]:
+            code, out, _ = run(["expand", form, "--format", "json"], capsys)
+            assert code == 0
+            assert json.loads(out) == {
+                "schema": "cvforms.expand/1",
+                "form": form,
+                "nvars": nvars,
+                "vandermonde_blocks": groups,
+                "terms": terms,
+            }
+            assert run(["expand", form], capsys) == (0, text, "")
+
 
 class TestTypeAndClass:
     def test_type(self, capsys):

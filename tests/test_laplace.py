@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvforms import (
-    BlockFactorization,
     CvForm,
     Polynomial,
     RowBlock,
@@ -106,8 +105,8 @@ FULL_SIX = [
 
 class TestExpansion:
     def test_four_variable_golden(self):
-        factor, terms = expand_rowblocks(CvForm((2, 2, 3, 3)))
-        assert factor.vandermonde_blocks == ((1, 2), (3, 4))
+        groups, terms = expand_rowblocks(CvForm((2, 2, 3, 3)))
+        assert groups == ((1, 2), (3, 4))
         assert [str(t) for t in terms] == ["+|2 1|1 0|", "-|2 0|2 0|", "+|1 0|3 0|"]
 
     def test_pair_golden(self):
@@ -115,20 +114,22 @@ class TestExpansion:
         assert [str(t) for t in terms] == ["+|1|2 1 0|", "-|0|3 1 0|"]
 
     def test_six_variable_golden(self):
-        factor, terms = expand_rowblocks(CvForm((2, 2, 4, 4, 5, 5)))
-        assert factor.vandermonde_blocks == ((1, 2), (3, 4), (5, 6))
+        groups, terms = expand_rowblocks(CvForm((2, 2, 4, 4, 5, 5)))
+        assert groups == ((1, 2), (3, 4), (5, 6))
         assert [str(t) for t in terms] == FULL_SIX
 
     def test_zero_form_is_empty(self):
-        factor, terms = expand_rowblocks(CvForm((0, 0, 2, 3)))
+        groups, terms = expand_rowblocks(CvForm((0, 0, 2, 3)))
+        assert groups == ()
         assert terms == []
 
     def test_constant_form(self):
-        factor, terms = expand_rowblocks(CvForm((1, 0, 2, 3)))
+        groups, terms = expand_rowblocks(CvForm((1, 0, 2, 3)))
         assert len(terms) == 1
         assert terms[0].total_sign == -1
         assert terms[0].entries() == (0, 0, 0, 0)
-        assert rowblock_value(terms[0], factor) == Polynomial.constant(4, 1)
+        assert terms[0].var_partition == groups
+        assert rowblock_value(terms[0]) == Polynomial.constant(4, 1)
         assert evaluate(CvForm((1, 0, 2, 3))) == Polynomial.constant(4, -1)
 
     def test_powers_strictly_decreasing(self):
@@ -163,22 +164,29 @@ class TestExpansion:
 
 class TestRowBlockValue:
     def test_single_vandermonde_block(self):
-        factor, terms = expand_rowblocks(CvForm((1, 1)))
+        _, terms = expand_rowblocks(CvForm((1, 1)))
         (rb,) = terms
         assert str(rb) == "+|1 0|"
-        assert rowblock_value(rb, factor).canonical_text() == "t1 - t2"
+        assert rowblock_value(rb).canonical_text() == "t1 - t2"
 
     def test_value_is_unsigned(self):
-        factor, terms = expand_rowblocks(CvForm((2, 2, 3, 3)))
-        total = Polynomial.zero(4)
-        for rb in terms:
-            total = total + rb.total_sign * rowblock_value(rb, factor)
-        assert total == evaluate(CvForm((2, 2, 3, 3)))
+        # every form to N=4, the zero forms (no term) and scalar ones included
+        for n in range(1, 5):
+            for entries in itertools.product(range(n), repeat=n):
+                f = CvForm(entries)
+                groups, terms = expand_rowblocks(f)
+                total = Polynomial.zero(n)
+                for rb in terms:
+                    assert rb.var_partition == groups
+                    total = total + rb.total_sign * rowblock_value(rb)
+                assert total == evaluate(f), f
 
     def test_partition_must_cover(self):
-        rb = RowBlock(((1, 0),), ((1, 2),), 1)
-        with pytest.raises(ValueError):
-            rowblock_value(rb, BlockFactorization(((1, 2), (3,)), 3))
+        # N is read off the partition: one that skips t3, one that repeats t2
+        for partition in (((1, 2), (4,)), ((1, 2), (2,))):
+            rb = RowBlock(((1, 0), (0,)), partition, 1)
+            with pytest.raises(ValueError, match="does not cover"):
+                rowblock_value(rb)
 
 
 class TestEvaluate:
@@ -205,7 +213,7 @@ class TestEvaluate:
         for entries in itertools.product(range(4), repeat=4):
             f = CvForm(entries)
             v = evaluate(f)
-            if not v.is_zero():
+            if v:
                 homogeneous = {sum(e) for e in v.terms}
                 assert homogeneous == {f.degree()}
 
@@ -284,20 +292,18 @@ class TestOraclesAgainstLeibniz:
     )
     def test_vanishing_forms_store_no_terms(self, entries):
         f = CvForm(entries)
-        assert leibniz_det(f).is_zero()
+        assert not leibniz_det(f)
         for value in (naive_oracle(f), derivative_oracle(f), evaluate(f)):
-            assert value.is_zero()
+            assert not value
             assert value.terms == {}
 
     @pytest.mark.parametrize("oracle", [naive_oracle, derivative_oracle])
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
-        assert not names & {
-            "expand_rowblocks", "_rowblock_terms", "_walk", "_block_expansion", "_integer_value", "evaluate"
-        }
+        assert not names & {"expand_rowblocks", "_walk", "_block_expansion", "_integer_value", "_FormRow", "evaluate"}
         # the walk does find the enumerator where it is used
-        assert {"_walk", "_block_expansion", "_integer_value"} <= _laplace_names(evaluate)
-        assert "_rowblock_terms" in _laplace_names(expand_rowblocks)
+        assert {"_walk", "_block_expansion", "_integer_value", "_FormRow"} <= _laplace_names(evaluate)
+        assert "_walk" in _laplace_names(expand_rowblocks)
 
 
 class TestIntegerKernel:
@@ -433,10 +439,10 @@ def _frozen_expand_rowblocks(form: CvForm):
     n = form.N
     if reduced is None:
         if sign0 == 0:
-            return BlockFactorization((), n), []
+            return (), []
         order = sorted(range(n), key=lambda i: (form.entries[i], i))
         groups = tuple((i + 1,) for i in order)
-        return BlockFactorization(groups, n), [RowBlock(((0,),) * n, groups, sign0)]
+        return groups, [RowBlock(((0,),) * n, groups, sign0)]
     sorted_form, perm, sort_sign = reduced.sort_entries()
     table = build_decoding_table(sorted_form, perm)
     groups, values, mults = table.blocks, table.values, table.multiplicities
@@ -454,14 +460,14 @@ def _frozen_expand_rowblocks(form: CvForm):
 
     rec(list(range(1, n + 1)), [], [], 0)
     terms.sort(key=lambda rb: laplace._order_key(rb.entries(), n), reverse=True)
-    return BlockFactorization(groups, n), terms
+    return groups, terms
 
 
 def _frozen_integer_value(form: CvForm):
     """The integer kernel as written before it read the enumerator directly:
     signed arrangements of each row-block, summed, over the lcm of the
     row-blocks' ``prod p!``."""
-    factor, terms = _frozen_expand_rowblocks(form)
+    groups, terms = _frozen_expand_rowblocks(form)
     n = form.N
     denoms = [math.prod(math.factorial(p) for p in rb.entries()) for rb in terms]
     common = math.lcm(*denoms)
@@ -476,7 +482,7 @@ def _frozen_integer_value(form: CvForm):
             partial = [(head + tail, c * s) for head, c in partial for tail, s in table]
         for key, c in partial:
             acc[key] = acc.get(key, 0) + c
-    variables = [v for blk in factor.vandermonde_blocks for v in blk]
+    variables = [v for blk in groups for v in blk]
     out = {}
     for key, c in acc.items():
         if c:
@@ -499,18 +505,18 @@ class TestRowBlockEnumerator:
             assert expand_rowblocks(bf.form) == _frozen_expand_rowblocks(bf.form), bf.form
 
     def test_terms_carry_the_factorial_denominator(self):
-        groups, terms = laplace._rowblock_terms(CvForm((2, 2, 3, 3)))
-        assert groups == ((1, 2), (3, 4))
-        assert sorted(terms) == [
-            (((1, 0), (3, 0)), 1, 6),
-            (((2, 0), (2, 0)), -1, 4),
-            (((2, 1), (1, 0)), 1, 2),
+        # the walk of [2 2 3 3]: (powers, parity of the picked columns, prod p!)
+        assert sorted(laplace._walk((2, 3), (2, 2))) == [
+            (((1, 0), (3, 0)), 0, 6),
+            (((2, 0), (2, 0)), 1, 4),
+            (((2, 1), (1, 0)), 0, 2),
         ]
 
     def test_zero_and_constant_forms(self):
-        assert laplace._rowblock_terms(CvForm((0, 0, 3, 3))) == ((), [])
+        assert expand_rowblocks(CvForm((0, 0, 3, 3))) == ((), [])
         # [2 0 1] is triangular up to the column order 2, 3, 1
-        assert laplace._rowblock_terms(CvForm((2, 0, 1))) == (((2,), (3,), (1,)), [(((0,), (0,), (0,)), 1, 1)])
+        groups = ((2,), (3,), (1,))
+        assert expand_rowblocks(CvForm((2, 0, 1))) == (groups, [RowBlock(((0,), (0,), (0,)), groups, 1)])
 
 
 def _blocks_from_entries(entries, shape):

@@ -21,14 +21,14 @@ def p_y(nvars=2):
 class TestConstruction:
     def test_zero(self):
         z = Polynomial.zero(3)
-        assert z.is_zero()
+        assert bool(z) is False
         assert not z
         assert z.terms == {}
 
     def test_constant(self):
         c = Polynomial.constant(2, Fraction(3, 4))
         assert c.terms == {(0, 0): Fraction(3, 4)}
-        assert Polynomial.constant(2, 0).is_zero()
+        assert not Polynomial.constant(2, 0)
 
     def test_variable(self):
         v = Polynomial.variable(3, 1)
@@ -41,7 +41,7 @@ class TestConstruction:
     def test_monomial(self):
         m = Polynomial.monomial(2, (2, 1), Fraction(1, 2))
         assert m.terms == {(2, 1): Fraction(1, 2)}
-        assert Polynomial.monomial(2, (2, 1), 0).is_zero()
+        assert not Polynomial.monomial(2, (2, 1), 0)
 
     def test_zero_coefficients_dropped(self):
         p = Polynomial(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
@@ -59,7 +59,7 @@ class TestConstruction:
 class TestArithmetic:
     def test_add_cancel(self):
         x, y = p_x(), p_y()
-        assert (x + y - x - y).is_zero()
+        assert not (x + y - x - y)
 
     def test_product(self):
         x, y = p_x(), p_y()
@@ -121,7 +121,7 @@ class TestRingAxioms:
         one = Polynomial.constant(3, 1)
         assert a + Polynomial.zero(3) == a
         assert a * one == a
-        assert (a - a).is_zero()
+        assert not (a - a)
 
 
 def _assert_clean(p):
@@ -133,7 +133,7 @@ class TestComputedResults:
     def test_cancellation_stores_no_terms(self):
         p = p_x() * p_x() * Fraction(1, 3) - p_y()
         for zero in (p - p, p + (-p), p * 0, p * Polynomial.zero(2)):
-            assert zero.is_zero()
+            assert not zero
             assert zero.terms == {}
 
     def test_differentiate_past_degree(self):
@@ -176,7 +176,7 @@ class TestDifferentiation:
         p = Polynomial.monomial(1, (4,))
         assert p.symmetrized_derivative(1) == Polynomial.monomial(1, (3,), 4)
         assert p.symmetrized_derivative(2) == Polynomial.monomial(1, (2,), 12)
-        assert p.symmetrized_derivative(5).is_zero()
+        assert not p.symmetrized_derivative(5)
 
     @settings(max_examples=60, deadline=None)
     @given(small_polys, small_polys)
@@ -276,7 +276,7 @@ class TestRepresentation:
         a = Polynomial.from_numerators(2, {(1, 0): 1, (0, 0): 3}, 2)
         b = Polynomial.from_numerators(2, {(1, 0): -2, (0, 0): -6}, 4)
         total = a + b
-        assert total.is_zero()
+        assert not total
         assert total.canonical_text() == "0"
         assert total == Polynomial.zero(2)
 

@@ -336,13 +336,18 @@ class TestDegreeListing:
         assert counts == D12_COUNTS
 
     def test_listing_partitions_all_ribbons(self):
-        for n in range(1, 8):
+        for n in range(1, 13):
             split = []
             for d in range(n * (n - 1) // 2 + 1):
-                split.extend(ribbons_of_degree(n, d))
+                listing = ribbons_of_degree(n, d)
+                classes = [r.class_entries() for r in listing]
+                assert all(a > b for a, b in zip(classes, classes[1:])), (n, d)
+                split.extend(listing)
             assert sorted(r.boxes for r in split) == sorted(
                 r.boxes for r in enumerate_ribbons(n)
             )
+        # below one box, a degree in range lists nothing
+        assert ribbons_of_degree(0, 0) == ribbons_of_degree(-1, 1) == ribbons_of_degree(-2, 3) == []
 
 
 class TestCounting:
@@ -361,13 +366,14 @@ class TestCounting:
 
     def test_generating_function_diagonal_sums(self):
         # summing the (d, l) table over l gives the number of ribbons per d
-        gf = ribbon_generating_function(8)
-        per_degree: dict[int, int] = {}
-        for (d, _l), c in gf.items():
-            per_degree[d] = per_degree.get(d, 0) + c
-        for d, c in per_degree.items():
-            assert c == len(ribbons_of_degree(8, d))
-        assert sum(per_degree.values()) == 2 ** 7
+        for n in range(1, 13):
+            per_degree: dict[int, int] = {}
+            for (d, _l), c in ribbon_generating_function(n).items():
+                per_degree[d] = per_degree.get(d, 0) + c
+            assert sorted(per_degree) == list(range(n * (n - 1) // 2 + 1))
+            for d, c in per_degree.items():
+                assert c == len(ribbons_of_degree(n, d)), (n, d)
+            assert sum(per_degree.values()) == 2 ** (n - 1)
 
     def test_generating_function_matches_heights(self):
         gf = ribbon_generating_function(8)
