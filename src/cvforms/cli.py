@@ -53,6 +53,8 @@ MAX_N = 16
 
 
 def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one box")
     if n > MAX_N:
         raise ValueError(f"N={n} is above the largest supported size {MAX_N}")
 
@@ -188,8 +190,6 @@ def _ribbon_record(rib) -> dict:
 def cmd_ribbon(args) -> dict:
     if args.target.isdigit():
         n = int(args.target)
-        if n < 1:
-            raise ValueError("need at least one box")
         _check_size(n)
         ribbons = ribbons_of_degree(n, args.degree) if args.degree is not None else list(enumerate_ribbons(n))
     else:
@@ -362,8 +362,6 @@ _SUITES = {
 
 def cmd_verify(args) -> dict:
     n, suite, kmax = args.n, args.suite, args.kmax
-    if n < 1:
-        raise ValueError("need at least one box")
     _check_size(n)
     if args.degree is not None and suite != "rank":
         raise ValueError("--degree applies to the rank suite only")

@@ -109,36 +109,32 @@ class CvForm:
         return sum(self.entries) - n * (n - 1) // 2
 
     def remove_zeros(self) -> tuple[int, "CvForm | None"]:
-        """Iterate the zero-removal rule until a terminal case.
+        """Apply the zero-removal rule until a terminal case, in closed form.
 
         A zero entry is a column (1, 0, ..., 0); expanding the determinant
         along it shows ``[.. 0 ..] = (-1)^(N-1) [.. N-1 ..]`` with every
-        other entry decremented.  The leftmost zero is rewritten first.
+        other entry decremented.  One step thus maps every value v to
+        v - 1 mod N, so the rule is a rotation that stops at the smallest
+        value r that the entries do not take exactly once.
 
-        Returns ``(sign, form)`` with a zero-free ``form``, or a scalar
-        terminal as ``(value, None)``: two zeros give 0 (two equal
-        columns), all-distinct entries give the sign of the permutation
-        sorting them (triangular determinant up to column order).
+        Returns ``(sign, form)`` with a zero-free ``form``: r not taken
+        gives ``(-1)^((N-1)r)`` and the entries ``(e - r) mod N``.  Or a
+        scalar terminal as ``(value, None)``: r taken twice gives 0 (two
+        equal columns), and all-distinct entries give the sign of the
+        permutation sorting them (triangular determinant up to column
+        order).
         """
-        n = self.N
-        if 0 not in self.entries and len(set(self.entries)) < n:
+        ent = self.entries
+        n = len(ent)
+        if 0 not in ent and len(set(ent)) < n:
             return 1, self  # zero-free and not a scalar: the form is its own terminal
-        entries = list(self.entries)
-        sign = 1
-        for _ in range(n + 1):
-            if len(set(entries)) == n:
-                order = sorted(range(n), key=lambda i: entries[i])
-                return sign * permutation_sign(tuple(i + 1 for i in order)), None
-            zeros = entries.count(0)
-            if zeros == 0:
-                return sign, CvForm(entries)
-            if zeros >= 2:
-                return 0, None
-            k = entries.index(0)
-            entries = [e - 1 for e in entries]
-            entries[k] = n - 1
-            sign *= (-1) ** (n - 1)
-        raise AssertionError("zero removal did not terminate within N steps")
+        r = next((v for v in range(n) if ent.count(v) != 1), None)
+        if r is None:
+            # the entries are a permutation of 0..N-1, with the sign of its inverse
+            return permutation_sign(ent), None
+        if ent.count(r):
+            return 0, None
+        return (-1) ** ((n - 1) * r), CvForm([(e - r) % n for e in ent])
 
     def standard_permutation(self) -> tuple[int, ...]:
         """Ranks of the entries, ties resolved left to right."""

@@ -234,28 +234,20 @@ def expand_rowblocks(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[Ro
     return groups, rowblocks
 
 
-def _alternant(powers, variables, nvars: int) -> Polynomial:
-    # det over rows r (power powers[r] / powers[r]!) and columns c
-    # (variable variables[c]), expanded straight over permutations.
-    m = len(powers)
-    denom = math.prod(math.factorial(p) for p in powers)
-    numerators = {}
-    for sigma in itertools.permutations(range(m)):
-        exps = [0] * nvars
-        for c in range(m):
-            exps[variables[c] - 1] = powers[sigma[c]]
-        numerators[tuple(exps)] = permutation_sign(sigma)
-    return Polynomial.from_numerators(nvars, numerators, denom)
-
-
 def rowblock_value(rb: RowBlock) -> Polynomial:
     """Unsigned polynomial value of one row-block.
 
     The product of the block alternants divided by the factorials of the
     powers; this already carries the common Vandermonde factors of each
     variable group.  N is the size of ``var_partition``, which must cover
-    1..N exactly once.  ``total_sign`` is deliberately not applied.  A
-    slow reference for ``evaluate``: the signed row-block values sum to it.
+    1..N exactly once.  The blocks act on disjoint variables, so the
+    product is one sum over tuples of per-block permutations sigma: each
+    block puts ``powers[sigma[c]]`` on its c-th variable, and the term's
+    sign is the product of the ``permutation_sign`` of each sigma.  The
+    powers of a block are strictly decreasing, as ``expand_rowblocks``
+    makes them, so no two terms share a monomial.  ``total_sign`` is
+    deliberately not applied.  A slow reference for ``evaluate``,
+    independent of the kernel: the signed row-block values sum to it.
     """
     if len(rb.blocks) != len(rb.var_partition):
         raise ValueError("power blocks and variable partition disagree")
@@ -263,12 +255,19 @@ def rowblock_value(rb: RowBlock) -> Polynomial:
     nvars = len(covered)
     if covered != list(range(1, nvars + 1)):
         raise ValueError("variable partition does not cover 1..N exactly once")
-    value = Polynomial.constant(nvars, 1)
-    for powers, variables in zip(rb.blocks, rb.var_partition):
-        if len(powers) != len(variables):
-            raise ValueError("block size mismatch between powers and variables")
-        value = value * _alternant(powers, variables, nvars)
-    return value
+    # zip below would silently truncate a mismatched block
+    if any(len(powers) != len(variables) for powers, variables in zip(rb.blocks, rb.var_partition)):
+        raise ValueError("block size mismatch between powers and variables")
+    numerators = {}
+    for sigmas in itertools.product(*(itertools.permutations(range(len(powers))) for powers in rb.blocks)):
+        exps = [0] * nvars
+        sign = 1
+        for powers, variables, sigma in zip(rb.blocks, rb.var_partition, sigmas):
+            for v, s in zip(variables, sigma):
+                exps[v - 1] = powers[s]
+            sign *= permutation_sign(sigma)
+        numerators[tuple(exps)] = sign
+    return Polynomial.from_numerators(nvars, numerators, math.prod(map(math.factorial, rb.entries())))
 
 
 @lru_cache(maxsize=None)

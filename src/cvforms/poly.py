@@ -3,8 +3,7 @@
 A polynomial in ``nvars`` variables (rendered t1, t2, ...) is stored as a
 mapping from exponent tuples to nonzero integer numerators over one
 positive common denominator.  The denominator is not reduced to lowest
-terms, except that a product divides out the gcd of its numerators and
-denominator; equality and hashing compare values, not representations.
+terms; equality and hashing compare values, not representations.
 ``fractions.Fraction`` appears only at the edges: the public constructor
 takes Fraction-like coefficients, and ``terms``, ``canonical_text`` and
 ``to_json_dict`` build reduced Fractions on demand.  All operations return
@@ -19,7 +18,7 @@ Two polynomials are equal exactly when their canonical renderings coincide.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import lcm, perm
 from types import MappingProxyType
 
 Exponents = tuple[int, ...]
@@ -33,7 +32,7 @@ class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
     The zero polynomial keeps its variable count so dimension checks stay
-    meaningful: ``Polynomial.zero(4) != Polynomial.zero(3)``.
+    meaningful: ``Polynomial(4) != Polynomial(3)``.
     """
 
     __slots__ = ("nvars", "_numerators", "_denom")
@@ -68,22 +67,6 @@ class Polynomial:
         poly._numerators = numerators
         poly._denom = denom
         return poly
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "Polynomial":
-        """The monomial t_{index+1} (``index`` is 0-based)."""
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents, coeff=1) -> "Polynomial":
@@ -123,27 +106,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.nvars != other.nvars:
-                raise ValueError(f"mixing {self.nvars}- and {other.nvars}-variable polynomials")
-            out: dict[Exponents, int] = {}
-            for ea, ca in self._numerators.items():
-                for eb, cb in other._numerators.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    out[key] = out.get(key, 0) + ca * cb
-            return _lowest(self.nvars, {e: c for e, c in out.items() if c}, self._denom * other._denom)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial.zero(self.nvars)
-            num = other.numerator
-            scaled = {e: c * num for e, c in self._numerators.items()}
-            return _lowest(self.nvars, scaled, self._denom * other.denominator)
-        return NotImplemented
-
-    # the ring is commutative, and so is scaling
-    __rmul__ = __mul__
 
     def symmetrized_derivative(self, k: int) -> "Polynomial":
         """Apply the power-sum operator sum_i d^k/dt_i^k.
@@ -200,16 +162,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.nvars}, {self.canonical_text()!r})"
-
-
-def _lowest(nvars: int, numerators: dict[Exponents, int], denom: int) -> Polynomial:
-    # a product's denominator is the product of its factors' denominators;
-    # dividing out the common gcd keeps repeated scaling from growing it
-    g = gcd(denom, *numerators.values())
-    if g > 1:
-        numerators = {e: c // g for e, c in numerators.items()}
-        denom //= g
-    return Polynomial.from_numerators(nvars, numerators, denom)
 
 
 def sum_of(nvars: int, polys) -> Polynomial:

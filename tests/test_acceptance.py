@@ -125,7 +125,7 @@ def test_criterion_05_syzygies():
     t0 = time.perf_counter()
 
     def sum_of(entry_lists):
-        acc = Polynomial.zero(4)
+        acc = Polynomial(4)
         for e in entry_lists:
             acc = acc + evaluate(CvForm(e))
         return acc

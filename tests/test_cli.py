@@ -456,7 +456,7 @@ class TestVerify:
 
         def wrong(form):
             value = real(form)
-            return value * 2 if form.entries == (1, 2, 2) else value
+            return value + value if form.entries == (1, 2, 2) else value
 
         monkeypatch.setattr(basis, "naive_oracle", wrong)
         code, out, err = run(["verify", "3", "oracle"], capsys)
@@ -846,6 +846,26 @@ class TestSizeGuard:
         assert code == 2
         assert out == ""
         assert err == f"error: N={argv[1]} is above the largest supported size {cli.MAX_N}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ribbon", "0"],
+            ["ribbon", "0", "--degree", "0"],
+            ["basis", "0"],
+            ["basis", "-2", "--degree", "1"],
+            ["basis", "0", "--degree", "0", "--format", "json"],
+            ["basis", "0", "--count-only", "--degree", "0"],
+            ["basis", "-2", "--count-only", "--degree", "1"],
+            ["verify", "0", "rank", "--degree", "0"],
+        ],
+    )
+    def test_refuses_no_boxes_before_any_work(self, argv, no_work, capsys):
+        # one check covers every path, --degree and --count-only included
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least one box\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -94,6 +94,28 @@ class TestDegree:
         assert CvForm((5, 7, 7, 5, 4, 5, 6, 5)).degree() == 16
 
 
+def _frozen_remove_zeros(form: CvForm):
+    # the zero-removal rule applied one step at a time, leftmost zero first,
+    # as written before the closed form
+    n = form.N
+    entries = list(form.entries)
+    sign = 1
+    for _ in range(n + 1):
+        if len(set(entries)) == n:
+            order = sorted(range(n), key=lambda i: entries[i])
+            return sign * permutation_sign(tuple(i + 1 for i in order)), None
+        zeros = entries.count(0)
+        if zeros == 0:
+            return sign, CvForm(entries)
+        if zeros >= 2:
+            return 0, None
+        k = entries.index(0)
+        entries = [e - 1 for e in entries]
+        entries[k] = n - 1
+        sign *= (-1) ** (n - 1)
+    raise AssertionError("zero removal did not terminate within N steps")
+
+
 class TestRemoveZeros:
     def test_single_zero_step(self):
         sign, form = CvForm((0, 1, 3, 3)).remove_zeros()
@@ -116,6 +138,14 @@ class TestRemoveZeros:
     def test_zero_free_forms_returned_unchanged(self):
         f = CvForm((2, 2, 3, 3))
         assert f.remove_zeros() == (1, f)
+        assert f.remove_zeros()[1] is f
+
+    def test_closed_form_equals_the_frozen_loop(self):
+        # every form to N=6
+        for n in range(1, 7):
+            for entries in itertools.product(range(n), repeat=n):
+                f = CvForm(entries)
+                assert f.remove_zeros() == _frozen_remove_zeros(f), f
 
     def test_terminates_everywhere(self):
         # exhaustive over N <= 5: always a terminal, never an entry out of range

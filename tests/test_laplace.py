@@ -129,8 +129,8 @@ class TestExpansion:
         assert terms[0].total_sign == -1
         assert terms[0].entries() == (0, 0, 0, 0)
         assert terms[0].var_partition == groups
-        assert rowblock_value(terms[0]) == Polynomial.constant(4, 1)
-        assert evaluate(CvForm((1, 0, 2, 3))) == Polynomial.constant(4, -1)
+        assert rowblock_value(terms[0]) == Polynomial.monomial(4, (0, 0, 0, 0))
+        assert evaluate(CvForm((1, 0, 2, 3))) == Polynomial.monomial(4, (0, 0, 0, 0), -1)
 
     def test_powers_strictly_decreasing(self):
         for entries in itertools.product(range(4), repeat=4):
@@ -162,6 +162,28 @@ class TestExpansion:
                 assert evaluate(CvForm(e[j] for j in s)) == Polynomial(4, renamed)
 
 
+def _frozen_rowblock_value(rb: RowBlock) -> Polynomial:
+    # the block alternants multiplied out one after another, in Fractions,
+    # as rowblock_value did before it expanded the product itself
+    nvars = sum(map(len, rb.var_partition))
+    value = {(0,) * nvars: Fraction(1)}
+    for powers, variables in zip(rb.blocks, rb.var_partition):
+        denom = math.prod(math.factorial(p) for p in powers)
+        alternant = {}
+        for sigma in itertools.permutations(range(len(powers))):
+            exps = [0] * nvars
+            for c, v in enumerate(variables):
+                exps[v - 1] = powers[sigma[c]]
+            alternant[tuple(exps)] = Fraction(permutation_sign(sigma), denom)
+        product = {}
+        for ea, ca in value.items():
+            for eb, cb in alternant.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                product[key] = product.get(key, 0) + ca * cb
+        value = {e: c for e, c in product.items() if c}
+    return Polynomial(nvars, value)
+
+
 class TestRowBlockValue:
     def test_single_vandermonde_block(self):
         _, terms = expand_rowblocks(CvForm((1, 1)))
@@ -170,16 +192,34 @@ class TestRowBlockValue:
         assert rowblock_value(rb).canonical_text() == "t1 - t2"
 
     def test_value_is_unsigned(self):
-        # every form to N=4, the zero forms (no term) and scalar ones included
-        for n in range(1, 5):
-            for entries in itertools.product(range(n), repeat=n):
-                f = CvForm(entries)
-                groups, terms = expand_rowblocks(f)
-                total = Polynomial.zero(n)
-                for rb in terms:
-                    assert rb.var_partition == groups
-                    total = total + rb.total_sign * rowblock_value(rb)
-                assert total == evaluate(f), f
+        # every form to N=5, the zero forms (no term) and scalar ones included
+        for f in _all_forms(5):
+            groups, terms = expand_rowblocks(f)
+            total = Polynomial(f.N)
+            for rb in terms:
+                assert rb.var_partition == groups
+                value = rowblock_value(rb)
+                total = total + (value if rb.total_sign > 0 else -value)
+            assert total == evaluate(f), f
+
+    def test_equals_the_frozen_alternant_product(self):
+        # every distinct row-block of every form to N=5
+        seen = set()
+        for f in _all_forms(5):
+            for rb in expand_rowblocks(f)[1]:
+                key = (rb.blocks, rb.var_partition)
+                if key not in seen:
+                    seen.add(key)
+                    assert rowblock_value(rb) == _frozen_rowblock_value(rb), rb
+        assert len(seen) == 2798
+
+    def test_blocks_must_match_the_partition(self):
+        with pytest.raises(ValueError, match="disagree"):
+            rowblock_value(RowBlock(((1, 0), (0,)), ((1, 2, 3),), 1))
+        # the partition covers 1..3, but one block has fewer or more powers than variables
+        for blocks in (((0,), (0,)), ((1, 0), (1, 0))):
+            with pytest.raises(ValueError, match="block size mismatch"):
+                rowblock_value(RowBlock(blocks, ((1,), (2, 3)), 1))
 
     def test_partition_must_cover(self):
         # N is read off the partition: one that skips t3, one that repeats t2
@@ -200,14 +240,13 @@ class TestEvaluate:
         )
 
     def test_lowest_form_is_one(self):
-        assert evaluate(CvForm((0, 1, 2, 3))) == Polynomial.constant(4, 1)
+        assert evaluate(CvForm((0, 1, 2, 3))) == Polynomial.monomial(4, (0, 0, 0, 0))
 
     def test_top_form_is_normalized_vandermonde(self):
         got = evaluate(CvForm((2, 2, 2)))
-        t = [Polynomial.variable(3, i) for i in range(3)]
-        prod = (t[0] - t[1]) * (t[0] - t[2]) * (t[1] - t[2])
-        # divide by (j - i) over i < j: 1 * 2 * 1
-        assert got == prod * Fraction(1, 2)
+        # (t1 - t2)(t1 - t3)(t2 - t3), six terms, divided by (j - i) over i < j: 1 * 2 * 1
+        prod = {(2, 1, 0): 1, (2, 0, 1): -1, (1, 2, 0): -1, (1, 0, 2): 1, (0, 2, 1): 1, (0, 1, 2): -1}
+        assert got == Polynomial(3, {e: Fraction(c, 2) for e, c in prod.items()})
 
     def test_degree_matches(self):
         for entries in itertools.product(range(4), repeat=4):
