@@ -101,15 +101,36 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
         ribbons = ribbons_of_degree(n, degree)
         tableaux = map(enumerate_tableaux, ribbons)
     forms = []
+    column_of = [0] * (n + 1)
     for rib, rib_tableaux in zip(ribbons, tableaux):
         columns = [c for _, c in rib.boxes]
-        column_of = [0] * (n + 1)
         for t in rib_tableaux:
-            # the reading of tableau_to_cvform, through a value -> column array
-            for c, v in zip(columns, t.filling):
-                column_of[v] = c
-            forms.append(BasisForm(CvForm([column_of[v] for v in order]), t))
+            forms.append(BasisForm(CvForm(_read_filling(columns, t.filling, order, column_of)), t))
     return Basis(n, degree, order, tuple(forms))
+
+
+def _read_filling(columns, filling, order, column_of: list[int]) -> list[int]:
+    # the reading of tableau_to_cvform: value v of the filling sits in box
+    # column column_of[v], a scratch array of N + 1 slots that is overwritten
+    for c, v in zip(columns, filling):
+        column_of[v] = c
+    return [column_of[v] for v in order]
+
+
+def _streamed_forms(n: int):
+    """The forms of ``generate_basis(n)``, one per permutation of 1..N, in
+    lexicographic order, with no ``SkewTableau`` built.
+
+    A permutation's fall word names the one ribbon it fills, the key that
+    ``generate_basis`` files it by; so the two facts that ``SkewTableau``
+    would check, a permutation falling at the ribbon's column steps, hold
+    by construction.  Each ``CvForm`` still checks its entry range.
+    """
+    order = backward_order(n)
+    columns = {rib.falls(): [c for _, c in rib.boxes] for rib in enumerate_ribbons(n)}
+    column_of = [0] * (n + 1)
+    for w in permutations(range(1, n + 1)):
+        yield CvForm(_read_filling(columns[tuple(map(gt, w, w[1:]))], w, order, column_of))
 
 
 def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
@@ -491,15 +512,29 @@ def flip_suite(n: int) -> dict:
 
 
 def chars_suite(n: int) -> dict:
-    """Distinct characteristic monomials; a collision is named on stderr."""
+    """Distinct characteristic monomials; a collision is named on stderr.
+
+    One streamed pass over the N! forms (``_streamed_forms``) keeps each
+    monomial, as the bytes of its exponents (each at most N - 1), and
+    builds no tableau.  Only a collision builds the basis, so that
+    ``characteristic_collision`` names the first colliding pair in basis
+    order.
+    """
+    seen: set[bytes] = set()
+    for form in _streamed_forms(n):
+        key = bytes(characteristic_exponents(form))
+        if key in seen:
+            break
+        seen.add(key)
+    else:
+        return {"checks": {"forms": len(seen), "distinct": True}, "ok": True, "listing": [], "stderr": []}
     basis = generate_basis(n)
     collision = characteristic_collision(basis)
-    ok = collision is None
-    stderr = []
-    if not ok:
-        a, b, exps = collision
-        stderr.append(f"witness: {a} and {b} share the characteristic monomial {_monomial_text(exps)}")
-    return {"checks": {"forms": len(basis.forms), "distinct": ok}, "ok": ok, "listing": [], "stderr": stderr}
+    if collision is None:
+        raise AssertionError(f"{form} repeats a characteristic monomial that the basis does not repeat")
+    a, b, exps = collision
+    stderr = [f"witness: {a} and {b} share the characteristic monomial {_monomial_text(exps)}"]
+    return {"checks": {"forms": len(basis.forms), "distinct": False}, "ok": False, "listing": [], "stderr": stderr}
 
 
 def orders_suite(n: int) -> dict:

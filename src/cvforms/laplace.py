@@ -244,9 +244,10 @@ def rowblock_value(rb: RowBlock) -> Polynomial:
     product is one sum over tuples of per-block permutations sigma: each
     block puts ``powers[sigma[c]]`` on its c-th variable, and the term's
     sign is the product of the ``permutation_sign`` of each sigma.  The
-    powers of a block are strictly decreasing, as ``expand_rowblocks``
-    makes them, so no two terms share a monomial.  ``total_sign`` is
-    deliberately not applied.  A slow reference for ``evaluate``,
+    powers of a block must be strictly decreasing, as ``expand_rowblocks``
+    makes them, so no two terms share a monomial; a block with a repeated
+    power is an alternant with two equal rows, and it raises.
+    ``total_sign`` is deliberately not applied.  A slow reference for ``evaluate``,
     independent of the kernel: the signed row-block values sum to it.
     """
     if len(rb.blocks) != len(rb.var_partition):
@@ -258,6 +259,8 @@ def rowblock_value(rb: RowBlock) -> Polynomial:
     # zip below would silently truncate a mismatched block
     if any(len(powers) != len(variables) for powers, variables in zip(rb.blocks, rb.var_partition)):
         raise ValueError("block size mismatch between powers and variables")
+    if any(a <= b for powers in rb.blocks for a, b in zip(powers, powers[1:])):
+        raise ValueError("block powers are not strictly decreasing")
     numerators = {}
     for sigmas in itertools.product(*(itertools.permutations(range(len(powers))) for powers in rb.blocks)):
         exps = [0] * nvars

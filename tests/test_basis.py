@@ -475,6 +475,39 @@ class TestIndependence:
         assert verify_independence(basis) == (3, False)
 
 
+class TestStreamedCharacteristics:
+    """``chars_suite`` streams the N! forms; the basis is the independent slow path."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sees_the_monomials_of_the_basis(self, n, monkeypatch):
+        real, seen = laplace.characteristic_exponents, collections.Counter()
+
+        def counted(form):
+            exps = real(form)
+            seen[exps] += 1
+            return exps
+
+        monkeypatch.setattr(basis_module, "characteristic_exponents", counted)
+        checks = {"forms": math.factorial(n), "distinct": True}
+        assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+        assert sum(seen.values()) == math.factorial(n)
+        assert seen == collections.Counter(real(bf.form) for bf in generate_basis(n).forms)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_form_per_permutation(self, n):
+        # the basis holds each permutation once, as the filling of its tableau
+        forms = sorted(generate_basis(n).forms, key=lambda bf: bf.tableau.filling)
+        assert list(basis_module._streamed_forms(n)) == [bf.form for bf in forms]
+
+    def test_a_pass_builds_no_tableau_and_no_basis(self, monkeypatch):
+        def built(*args, **kwargs):
+            raise AssertionError("built")
+
+        for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision"):
+            monkeypatch.setattr(basis_module, name, built)
+        assert chars_suite(6)["checks"] == {"forms": 720, "distinct": True}
+
+
 class TestCharacteristicUniqueness:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_backward_basis(self, n):

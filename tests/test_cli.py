@@ -500,7 +500,7 @@ class TestVerify:
         real_collision, calls = basis.characteristic_collision, []
         monkeypatch.setattr(basis, "characteristic_collision", lambda b: calls.append(b) or real_collision(b))
         code, out, err = run(["verify", "3", "chars"], capsys)
-        # one search gives both the verdict and the witness
+        # the streamed pass gives the verdict; one search of the basis names the witness
         assert code == 1 and len(calls) == 1
         assert out.splitlines() == [
             "suite: chars n=3",
@@ -509,6 +509,29 @@ class TestVerify:
             "result: FAIL",
         ]
         assert err == "witness: [2 2 1] and [2 1 2] share the characteristic monomial t1*t3\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_chars_witness_is_in_basis_order(self, fmt, capsys, monkeypatch):
+        # [3 3 2 1] fills (1 2 4 3), second in lexicographic order, but comes
+        # after [3 3 3 2], which fills (1 4 3 2), in basis (ribbon) order
+        real = basis.characteristic_exponents
+
+        def colliding(form):
+            return real(CvForm((3, 3, 3, 2)) if form.entries == (3, 3, 2, 1) else form)
+
+        monkeypatch.setattr(basis, "characteristic_exponents", colliding)
+        a, b, _ = basis.characteristic_collision(basis.generate_basis(4))
+        assert (str(a), str(b)) == ("[3 3 3 2]", "[3 3 2 1]")
+        code, out, err = run(["verify", "4", "chars", "--format", fmt], capsys)
+        assert code == 1
+        if fmt == "text":
+            distinct = "characteristic monomials pairwise distinct: False"
+            assert out == "\n".join(["suite: chars n=4", "forms: 24", distinct, "result: FAIL"]) + "\n"
+        else:
+            checks = {"forms": 24, "distinct": False}
+            record = {"schema": "cvforms.verify/1", "suite": "chars", "n": 4, "checks": checks, "ok": False}
+            assert out == json.dumps(record, indent=2) + "\n"
+        assert err == f"witness: {a} and {b} share the characteristic monomial t1^2*t2*t4^2\n"
 
     def test_chars_pass_writes_no_witness(self, capsys):
         code, _, err = run(["verify", "4", "chars"], capsys)

@@ -220,6 +220,10 @@ class TestRowBlockValue:
         for blocks in (((0,), (0,)), ((1, 0), (1, 0))):
             with pytest.raises(ValueError, match="block size mismatch"):
                 rowblock_value(RowBlock(blocks, ((1,), (2, 3)), 1))
+        # a repeated power is an alternant with two equal rows, 0 and not -t1*t2
+        for blocks, partition in ((((1, 1),), ((1, 2),)), (((0, 1),), ((1, 2),)), (((2, 1), (0, 0)), ((1, 2), (3, 4)))):
+            with pytest.raises(ValueError, match="not strictly decreasing"):
+                rowblock_value(RowBlock(blocks, partition, 1))
 
     def test_partition_must_cover(self):
         # N is read off the partition: one that skips t3, one that repeats t2
