@@ -251,64 +251,29 @@ def fraction_free_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-# the Mersenne prime 2^61 - 1; full rank mod it proves full rank over Q
-_PRIME = (1 << 61) - 1
+def _certified_rank(rows) -> int:
+    """Exact rank over Q of sparse integer rows (read-only mappings column -> entry).
 
-
-def _reduce(row, pivots: dict) -> dict:
-    # a copy of row, zero mod p at every pivot column; one pass clears them
-    # all, since each pivot row is zero mod p at the columns of earlier pivots
-    r = dict(row.items())
-    for col, (prow, inv) in pivots.items():
-        f = r.get(col)
-        if f and f % _PRIME:
-            f = f * inv % _PRIME
-            for c, v in prow.items():
-                x = (r.get(c, 0) - f * v) % _PRIME
-                if x:
-                    r[c] = x
-                else:
-                    r.pop(c, None)
-    return r
-
-
-def _rank_mod_p(rows) -> int:
-    """Rank of sparse integer rows over the field of ``_PRIME`` elements.
-
-    Rows are read-only mappings column -> entry, taken in the caller's
-    order.  A row is probed against the pivots found so far; only a row
-    that meets a pivot column is copied and reduced (``_reduce``).
-    A pivot row is kept as it was given or reduced, never written to and
-    not normalized, next to the inverse of its pivot entry.  A row pivots
-    at its first entry that is nonzero mod p.  Any order gives the same
-    rank; ``verify_independence`` passes rows in triangular order, in
-    which no basis row meets an earlier pivot column.
+    Each row pivots at its first nonzero entry, for a ``_FormRow`` its
+    characteristic monomial.  If no row, in the given order, meets the
+    pivot of an earlier row, the rank is the number of pivots: on those
+    columns the rows form a triangular minor with a nonzero integer
+    diagonal, and an empty row adds nothing.  Otherwise the rows are
+    ranked by exact fraction-free elimination.
     """
-    pivots: dict = {}
+    rows = list(rows)
+    pivots: set = set()
     for row in rows:
         # the probe looks up each pivot column in the row, or each row
         # column among the pivots, whichever side is shorter
-        shorter, longer = (pivots, row.keys()) if len(pivots) < len(row) else (row, pivots.keys())
+        shorter, longer = (pivots, row.keys()) if len(pivots) < len(row) else (row, pivots)
         if not longer.isdisjoint(shorter):
-            row = _reduce(row, pivots)
-        col = next((c for c, v in row.items() if v % _PRIME), None)
+            columns = sorted({c for r in rows for c in r})
+            return fraction_free_rank([[r.get(c, 0) for c in columns] for r in rows])
+        col = next((c for c, v in row.items() if v), None)
         if col is not None:
-            pivots[col] = (row, pow(row[col], -1, _PRIME))
+            pivots.add(col)
     return len(pivots)
-
-
-def _certified_rank(rows) -> int:
-    """Exact rank over Q of sparse integer rows (mappings column -> entry).
-
-    Full rank mod ``_PRIME`` proves full rank over Q: a nonzero maximal
-    minor mod p is a nonzero integer.  A deficiency mod p proves nothing,
-    so those rows are decided by exact fraction-free elimination.
-    """
-    rows = list(rows)
-    if _rank_mod_p(rows) == len(rows):
-        return len(rows)
-    columns = sorted({c for r in rows for c in r})
-    return fraction_free_rank([[r.get(c, 0) for c in columns] for r in rows])
 
 
 def _lead_key(row: _FormRow) -> tuple:
@@ -322,8 +287,11 @@ def _slice_ranks(basis: Basis):
     """``(degree, rank, forms)`` of every graded slice, degrees ascending.
 
     Each distinct form of the slice enters ``_certified_rank`` once, as a
-    ``_FormRow`` view; a repeated form adds no rank.  Rows are sorted by
-    their characteristic monomials in row-block order, largest first.
+    ``_FormRow`` view; a repeated form adds no rank.  A form of another
+    reading order is read backwards first, as ``compare_bases`` reads it:
+    that renames the variables of every form alike, which keeps the rank.
+    Rows are sorted by their characteristic monomials in row-block order,
+    largest first.
 
     In that order the largest monomial of a nonvanishing form ``[e]`` is
     its characteristic one.  By the Leibniz formula its monomials are the
@@ -337,18 +305,23 @@ def _slice_ranks(basis: Basis):
     so the counts agree and the vector grows at i, the earlier index.
     Either way the swap moves strictly up in the order, and the swaps
     end at the stable rank.  A basis has distinct characteristic
-    monomials, so no row meets an earlier pivot column and none is
-    reduced: the slice is triangular in that order.
+    monomials, so no row meets an earlier row's characteristic monomial:
+    the slice is triangular in that order, and ``_certified_rank``
+    counts its pivots with no elimination.
     """
     by_degree: dict[int, list[CvForm]] = {}
     for bf in basis.forms:
         by_degree.setdefault(bf.form.degree(), []).append(bf.form)
+    n, order = basis.n, basis.reading_order
+    backward = None if order == backward_order(n) else [order.index(n - j) for j in range(n)]
     for d in sorted(by_degree):
-        forms = by_degree[d]
+        forms = distinct = by_degree[d]
+        if backward:
+            distinct = [CvForm([f.entries[i] for i in backward]) for f in forms]
         # one memo per slice: a multiset fixes the degree, so the slice's
         # views and the expansions they share are dropped once it is ranked
         expand = cache(_expand_multiset)
-        rows = (_FormRow(f, expand) for f in dict.fromkeys(forms))
+        rows = (_FormRow(f, expand) for f in dict.fromkeys(distinct))
         rank = _certified_rank(sorted(rows, key=_lead_key, reverse=True))
         yield d, rank, forms
 
@@ -359,9 +332,11 @@ def verify_independence(basis: Basis) -> tuple[int, bool]:
     Monomials of different total degree never meet, so the coefficient
     matrix is block diagonal over the graded slices and the slice ranks
     add up to the full rank (``_slice_ranks``).  Each form enters as its
-    integer numerators, read in place from the per-multiset cache; the
-    common denominator only scales the row.  Returns (rank, rank ==
-    number of forms); a repeated form caps the rank below that number.
+    integer numerators, read in place from the slice's memo; the common
+    denominator only scales the row.  A slice is ranked by its triangular
+    shape, and by fraction-free elimination only if it is not triangular
+    (``_certified_rank``).  Returns (rank, rank == number of forms); a
+    repeated form caps the rank below that number.
     """
     rank = sum(r for _, r, _ in _slice_ranks(basis))
     return rank, rank == len(basis.forms)

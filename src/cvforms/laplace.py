@@ -112,21 +112,6 @@ def _order_key(entries: tuple[int, ...], size: int) -> tuple:
     return tuple(-c for c in counts), entries
 
 
-def compare_rowblocks(a: RowBlock, b: RowBlock) -> int:
-    """Row-block order; returns -1, 0 or 1.
-
-    The greater term has fewer copies of the smallest entry value at
-    which the counts differ.  When the entry multisets agree, the greater
-    term is the later one in lexicographic order on the flattened entries.
-    """
-    ea, eb = a.entries(), b.entries()
-    if len(ea) != len(eb):
-        raise ValueError("row-blocks come from expansions of different sizes")
-    size = max(max(ea), max(eb)) + 1
-    ka, kb = _order_key(ea, size), _order_key(eb, size)
-    return (ka > kb) - (ka < kb)
-
-
 def _constant_rowblock(form: CvForm, sign: int) -> RowBlock:
     # All-distinct entries: the expansion collapses to |0|0|...|0| on
     # singleton blocks taken in sorted entry order.

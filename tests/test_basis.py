@@ -31,11 +31,9 @@ from cvforms import (
     verify_independence,
 )
 from cvforms.basis import (
-    _PRIME,
     _certified_rank,
     _integer_rows,
     _lead_key,
-    _rank_mod_p,
     _slice_ranks,
     chars_suite,
     characteristic_collision,
@@ -242,21 +240,30 @@ def _fraction_rank(rows) -> int:
     return rank
 
 
-def _dense_rank_mod_p(rows) -> int:
-    """Rank over the field of ``_PRIME`` elements by dense Gaussian elimination."""
-    m = [[v % _PRIME for v in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, _PRIME)
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] * inv % _PRIME
-            m[r] = [(a - f * b) % _PRIME for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+# 2^61 - 1: entries that a rank computed mod this prime would read as 0 or 1
+_P = (1 << 61) - 1
+
+
+def _spy_fraction_free_rank(monkeypatch) -> list:
+    calls = []
+
+    def spy(dense):
+        calls.append(dense)
+        return fraction_free_rank(dense)
+
+    monkeypatch.setattr(basis_module, "fraction_free_rank", spy)
+    return calls
+
+
+def _slice_rows(n: int, d: int) -> list:
+    # the distinct forms of one slice as views, in the triangular order
+    forms = dict.fromkeys(bf.form for bf in generate_basis(n, d).forms)
+    return sorted(map(_FormRow, forms), key=_lead_key, reverse=True)
+
+
+def _dense(rows) -> list[list[int]]:
+    columns = sorted({c for r in rows for c in r})
+    return [[r.get(c, 0) for c in columns] for r in rows]
 
 
 class TestCertifiedRank:
@@ -281,7 +288,7 @@ class TestCertifiedRank:
     @given(
         st.lists(
             st.lists(
-                st.integers(-3, 3) | st.sampled_from([_PRIME, -_PRIME, 2 * _PRIME, 1 + _PRIME]),
+                st.integers(-3, 3) | st.sampled_from([_P, -_P, 2 * _P, 1 + _P]),
                 min_size=3,
                 max_size=3,
             ),
@@ -289,97 +296,82 @@ class TestCertifiedRank:
             max_size=4,
         )
     )
-    def test_rank_mod_p_is_sound_on_multiples_of_p(self, rows):
+    def test_certified_rank_is_exact_on_multiples_of_p(self, rows):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
         before = [dict(r) for r in sparse]
-        exact = fraction_free_rank(rows)
-        assert _rank_mod_p(sparse) == _dense_rank_mod_p(rows) <= exact
+        assert _certified_rank(sparse) == _fraction_rank(rows)
         assert sparse == before
-        assert _certified_rank(sparse) == exact
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_certificate_agrees_with_bareiss_on_every_slice(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_certificate_agrees_with_bareiss_on_every_slice(self, n, monkeypatch):
+        calls = _spy_fraction_free_rank(monkeypatch)
         for d in range(len(q_factorial(n))):
-            rows = [_integer_value(bf.form)[0] for bf in generate_basis(n, d).forms]
-            columns = sorted({c for r in rows for c in r})
-            dense = [[r.get(c, 0) for c in columns] for r in rows]
-            assert _rank_mod_p(rows) == fraction_free_rank(dense) == len(rows)
+            rows = _slice_rows(n, d)
+            assert _certified_rank(rows) == fraction_free_rank(_dense(rows)) == len(rows), d
+        assert calls == []
 
     @pytest.mark.parametrize(
         "rows, exact",
-        [([[_PRIME]], 1), ([[1, 1], [1, 1 + _PRIME]], 2), ([[2, 4], [1, 2]], 1)],
+        [([[1, 1], [1, 1 + _P]], 2), ([[2, 4], [1, 2]], 1), ([[0, 3, 1], [_P, 0, 0], [0, 5, 0]], 3)],
     )
-    def test_deficiency_mod_p_falls_back_to_exact_rank(self, rows, exact, monkeypatch):
+    def test_rows_sharing_a_lead_fall_back_to_exact_rank(self, rows, exact, monkeypatch):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-        assert _rank_mod_p(sparse) < len(rows)
-        calls = []
-
-        def spy(dense):
-            calls.append(dense)
-            return fraction_free_rank(dense)
-
-        monkeypatch.setattr(basis_module, "fraction_free_rank", spy)
+        calls = _spy_fraction_free_rank(monkeypatch)
         assert _certified_rank(sparse) == exact
         assert calls == [rows]
 
-    def test_full_rank_mod_p_skips_elimination(self, monkeypatch):
+    def test_triangular_rows_skip_elimination(self, monkeypatch):
         monkeypatch.setattr(basis_module, "fraction_free_rank", None)
-        assert _certified_rank([{0: 1, 1: 1}, {0: 1, 1: 2}]) == 2
+        assert _certified_rank([{0: _P, 1: 1}, {1: 2, 2: 5}]) == 2
         assert _certified_rank([]) == 0
-
-
-def _spy_reduce(monkeypatch) -> list:
-    calls = []
-    reduce = basis_module._reduce
-
-    def spy(row, pivots):
-        calls.append(len(pivots))
-        return reduce(row, pivots)
-
-    monkeypatch.setattr(basis_module, "_reduce", spy)
-    return calls
-
-
-def _slice_rows(n: int, d: int) -> list:
-    # the distinct forms of one slice as views, in the triangular order
-    forms = dict.fromkeys(bf.form for bf in generate_basis(n, d).forms)
-    return sorted(map(_FormRow, forms), key=_lead_key, reverse=True)
+        # empty rows, a zero entry and a vanishing form add nothing
+        empty = _FormRow(CvForm((0, 0, 3, 3)))
+        assert len(empty) == 0
+        assert _certified_rank([{}, {0: 1, 1: 1}, empty, {2: 0}, {}, {1: 2}, {}]) == 2
 
 
 class TestTriangularOrder:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_triangular_order_reduces_no_row(self, n, monkeypatch):
-        calls = _spy_reduce(monkeypatch)
+        calls = _spy_fraction_free_rank(monkeypatch)
         assert verify_independence(generate_basis(n)) == (math.factorial(n), True)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_reading_order_is_ranked_read_backwards(self, monkeypatch):
+        # leads collide in other reading orders; renamed to the backward reading they do not
+        calls = _spy_fraction_free_rank(monkeypatch)
+        orders = [*itertools.permutations(range(1, 5)), tuple(range(1, 7)), (2, 4, 6, 1, 3, 5)]
+        for order in orders:
+            n = len(order)
+            assert verify_independence(generate_basis(n, None, order)) == (math.factorial(n), True), order
+        assert calls == []
+
+    def test_slice_at_the_largest_size_is_triangular(self, monkeypatch):
+        calls = _spy_fraction_free_rank(monkeypatch)
+        assert verify_independence(generate_basis(16, 4)) == (2924, True)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ascending_order_reduces_rows_and_keeps_full_rank(self, n, monkeypatch):
-        calls = _spy_reduce(monkeypatch)
+        calls = _spy_fraction_free_rank(monkeypatch)
         for d, count in enumerate(q_factorial(n)):
             rows = _slice_rows(n, d)[::-1]
             assert len(rows) == count
-            assert _rank_mod_p(rows) == count, d
-        assert calls and max(calls) > 1
+            assert _certified_rank(rows) == fraction_free_rank(_dense(rows)) == count, d
+        # ascending from N = 4 on, some row meets the lead of a smaller row before it
+        assert (len(calls) > 0) == (n > 3)
 
-    def test_pivot_rows_are_never_written(self, monkeypatch):
-        # read-only rows: every write, to the input or to a pivot row, raises
-        calls = _spy_reduce(monkeypatch)
-        rows = [{0: 2, 1: 1}, {0: 1, 1: 1, 2: 5}, {1: 3, 2: 1}, {0: _PRIME, 2: 2}]
-        before = [dict(r) for r in rows]
-        assert _rank_mod_p([MappingProxyType(r) for r in rows]) == 3
-        assert _rank_mod_p(rows) == 3
-        assert rows == before
-        assert calls == [1, 2, 3, 1, 2, 3]
+    def test_pivot_rows_are_never_written(self):
+        # read-only rows: every write raises, on the certificate and on the fallback
+        triangular = [{0: 2, 1: 1}, {1: 3, 2: 1}, {2: 5}]
+        shared_lead = [{0: 2, 1: 1}, {0: 1, 1: 1, 2: 5}, {0: _P}]
+        for rows, rank in [(triangular, 3), (shared_lead, 3)]:
+            before = [dict(r) for r in rows]
+            assert _certified_rank([MappingProxyType(r) for r in rows]) == rank
+            assert rows == before
 
     def test_repeated_view_falls_back_to_exact_rank(self, monkeypatch):
-        calls = []
-
-        def spy(dense):
-            calls.append(dense)
-            return fraction_free_rank(dense)
-
-        monkeypatch.setattr(basis_module, "fraction_free_rank", spy)
+        calls = _spy_fraction_free_rank(monkeypatch)
         f = CvForm((2, 3, 3, 3))
         assert _certified_rank([_FormRow(f), _FormRow(f)]) == 1
         assert len(calls) == 1 and calls[0][0] == calls[0][1]
@@ -471,8 +463,9 @@ class TestIndependence:
         matrix = coefficient_matrix([evaluate(f) for f in forms])
         assert fraction_free_rank(_integer_rows(matrix)) == 3
         assert _certified_rank(_integer_value(f)[0] for f in forms) == 3
-        basis = Basis(4, 5, backward_order(4), tuple(BasisForm(f, None) for f in forms))
-        assert verify_independence(basis) == (3, False)
+        for order in [backward_order(4), (1, 2, 3, 4), (2, 4, 1, 3)]:
+            basis = Basis(4, 5, order, tuple(BasisForm(f, None) for f in forms))
+            assert verify_independence(basis) == (3, False), order
 
 
 class TestStreamedCharacteristics:

@@ -31,7 +31,6 @@ from cvforms.laplace import (
     _order_key,
     characteristic_exponents,
     characteristic_monomial,
-    compare_rowblocks,
     diagonal_rowblock,
     leading_rowblock,
     normalized_vandermonde,
@@ -572,31 +571,26 @@ def _blocks_from_entries(entries, shape):
 
 
 class TestRowBlockOrder:
+    # the order compares _order_key of the flattened entries, at any size above the largest entry
     def test_comparison_is_sign_of_difference(self):
         _, terms = expand_rowblocks(CvForm((2, 2, 4, 4, 5, 5)))
-        for i, a in enumerate(terms):
-            for j, b in enumerate(terms):
+        keys = [_order_key(rb.entries(), 6) for rb in terms]
+        for i, a in enumerate(keys):
+            for j, b in enumerate(keys):
                 expect = 0 if i == j else (1 if i < j else -1)
-                assert compare_rowblocks(a, b) == expect
+                assert (a > b) - (a < b) == expect
 
     def test_fewer_small_values_wins(self):
         a = RowBlock(((2, 1), (1, 0)), ((1, 2), (3, 4)), 1)
         b = RowBlock(((2, 0), (2, 0)), ((1, 2), (3, 4)), 1)
         # a has one zero, b has two: a is greater
-        assert compare_rowblocks(a, b) == 1
-        assert compare_rowblocks(b, a) == -1
+        assert _order_key(a.entries(), 4) > _order_key(b.entries(), 4)
 
     def test_lex_tie_break(self):
         a = RowBlock(((3, 1), (2, 0)), ((1, 2), (3, 4)), 1)
         b = RowBlock(((3, 2), (1, 0)), ((1, 2), (3, 4)), 1)
         # same multiset of entries, compare flattened sequences
-        assert compare_rowblocks(b, a) == 1
-
-    def test_size_mismatch_rejected(self):
-        a = RowBlock(((1, 0),), ((1, 2),), 1)
-        b = RowBlock(((1, 0), (1, 0)), ((1, 2), (3, 4)), 1)
-        with pytest.raises(ValueError):
-            compare_rowblocks(a, b)
+        assert _order_key(b.entries(), 4) > _order_key(a.entries(), 4)
 
 
 class TestLeadingRowBlock:
@@ -624,7 +618,7 @@ class TestLeadingRowBlock:
                 lead = leading_rowblock(f.class_of())
                 assert terms[0].blocks == lead.blocks
                 assert all(
-                    compare_rowblocks(lead, rb) == 1
+                    _order_key(lead.entries(), n) > _order_key(rb.entries(), n)
                     for rb in terms
                     if rb.blocks != lead.blocks
                 )
