@@ -320,9 +320,14 @@ class TestCertifiedRank:
         assert _certified_rank(sparse) == exact
         assert calls == [rows]
 
+    def test_multiple_of_p_as_pivot_skips_elimination(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "fraction_free_rank", None)
+        assert _certified_rank([{0: _P}]) == 1
+        assert _certified_rank([{0: _P, 1: 1}, {1: 2, 2: 5}]) == 2
+
     def test_triangular_rows_skip_elimination(self, monkeypatch):
         monkeypatch.setattr(basis_module, "fraction_free_rank", None)
-        assert _certified_rank([{0: _P, 1: 1}, {1: 2, 2: 5}]) == 2
+        assert _certified_rank([{0: 1, 1: 1}, {1: 2}]) == 2
         assert _certified_rank([]) == 0
         # empty rows, a zero entry and a vanishing form add nothing
         empty = _FormRow(CvForm((0, 0, 3, 3)))
