@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product, zip_longest
 from math import lcm
-from operator import gt
+from operator import gt, itemgetter
 
 from .cvform import CvForm, vector_text
 from .laplace import (
@@ -101,20 +101,31 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
         ribbons = ribbons_of_degree(n, degree)
         tableaux = map(enumerate_tableaux, ribbons)
     forms = []
-    column_of = [0] * (n + 1)
+    read = _filling_reader(order)
     for rib, rib_tableaux in zip(ribbons, tableaux):
-        columns = [c for _, c in rib.boxes]
+        columns = _ribbon_columns(rib, n)
         for t in rib_tableaux:
-            forms.append(BasisForm(CvForm(_read_filling(columns, t.filling, order, column_of)), t))
+            forms.append(BasisForm(CvForm.trusted(read(columns, t.filling)), t))
     return Basis(n, degree, order, tuple(forms))
 
 
-def _read_filling(columns, filling, order, column_of: list[int]) -> list[int]:
-    # the reading of tableau_to_cvform: value v of the filling sits in box
-    # column column_of[v], a scratch array of N + 1 slots that is overwritten
-    for c, v in zip(columns, filling):
-        column_of[v] = c
-    return [column_of[v] for v in order]
+def _filling_reader(order):
+    # read(columns, filling) is the reading of tableau_to_cvform: value v of
+    # the filling sits in the column of its box, and one itemgetter takes the
+    # values in order, in C; an itemgetter of one index returns the bare
+    # item, so a single value is read in Python
+    get = itemgetter(*order) if len(order) > 1 else lambda column_of: tuple(column_of[v] for v in order)
+    return lambda columns, filling: get(dict(zip(filling, columns)))
+
+
+def _ribbon_columns(rib, n: int) -> tuple[int, ...]:
+    # the box columns of a ribbon, checked to lie in 0..N-1; a filling only
+    # permutes them, so every form read from the ribbon has its entries in range
+    columns = tuple(c for _, c in rib.boxes)
+    for c in columns:
+        if not 0 <= c <= n - 1:
+            raise ValueError(f"column {c} outside 0..{n - 1} for {n} boxes")
+    return columns
 
 
 def _streamed_forms(n: int):
@@ -124,19 +135,20 @@ def _streamed_forms(n: int):
     A permutation's fall word names the one ribbon it fills, the key that
     ``generate_basis`` files it by; so the two facts that ``SkewTableau``
     would check, a permutation falling at the ribbon's column steps, hold
-    by construction.  Each ``CvForm`` still checks its entry range.
+    by construction.  The entry range is checked once per ribbon, on its
+    columns, which every filling of it only permutes; each form is then
+    wrapped by ``CvForm.trusted``.
     """
-    order = backward_order(n)
-    columns = {rib.falls(): [c for _, c in rib.boxes] for rib in enumerate_ribbons(n)}
-    column_of = [0] * (n + 1)
+    read = _filling_reader(backward_order(n))
+    columns = {rib.falls(): _ribbon_columns(rib, n) for rib in enumerate_ribbons(n)}
     for w in permutations(range(1, n + 1)):
-        yield CvForm(_read_filling(columns[tuple(map(gt, w, w[1:]))], w, order, column_of))
+        yield CvForm.trusted(read(columns[tuple(map(gt, w, w[1:]))], w))
 
 
 def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
     # the forms with one entry lowered by k; negative entries drop out
     ent = form.entries
-    return [CvForm(ent[:i] + (e - k,) + ent[i + 1:]) for i, e in enumerate(ent) if e >= k]
+    return [CvForm.trusted(ent[:i] + (e - k,) + ent[i + 1:]) for i, e in enumerate(ent) if e >= k]
 
 
 def verify_harmonicity(form: CvForm, kmax: int | None = None) -> dict:
@@ -317,7 +329,7 @@ def _slice_ranks(basis: Basis):
     for d in sorted(by_degree):
         forms = distinct = by_degree[d]
         if backward:
-            distinct = [CvForm([f.entries[i] for i in backward]) for f in forms]
+            distinct = [CvForm.trusted(tuple(f.entries[i] for i in backward)) for f in forms]
         # one memo per slice: a multiset fixes the degree, so the slice's
         # views and the expansions they share are dropped once it is ranked
         expand = cache(_expand_multiset)

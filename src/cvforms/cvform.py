@@ -58,7 +58,11 @@ def valid_class(entries) -> bool:
 
 
 class CvForm:
-    """An entry vector ``[n1 ... nN]`` with ``0 <= ni <= N-1``."""
+    """An entry vector ``[n1 ... nN]`` with ``0 <= ni <= N-1``.
+
+    The constructor checks the range, for outside input; ``trusted``
+    wraps entries that the package computed in range.
+    """
 
     __slots__ = ("entries",)
 
@@ -73,6 +77,18 @@ class CvForm:
                 if not 0 <= e <= n - 1:
                     raise ValueError(f"entry {e} outside 0..{n - 1} for {n} variables")
         self.entries = ent
+
+    @classmethod
+    def trusted(cls, entries: tuple[int, ...]) -> "CvForm":
+        """Wrap entries that the package computed itself.
+
+        Trusted: ``entries`` is a nonempty tuple of ints in 0..N-1, N being
+        its length; it is neither checked nor copied.  Outside input goes
+        through ``__init__``.
+        """
+        form = object.__new__(cls)
+        form.entries = entries
+        return form
 
     @property
     def N(self) -> int:
@@ -134,7 +150,7 @@ class CvForm:
             return permutation_sign(ent), None
         if ent.count(r):
             return 0, None
-        return (-1) ** ((n - 1) * r), CvForm([(e - r) % n for e in ent])
+        return (-1) ** ((n - 1) * r), CvForm.trusted(tuple((e - r) % n for e in ent))
 
     def standard_permutation(self) -> tuple[int, ...]:
         """Ranks of the entries, ties resolved left to right."""

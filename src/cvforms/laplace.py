@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
 
-from .cvform import CvForm, permutation_sign, valid_class
+from .cvform import CvForm, permutation_sign
 from .poly import Polynomial
 
 
@@ -504,32 +504,6 @@ def derivative_oracle(form: CvForm) -> Polynomial:
     return Polynomial.from_numerators(n, out, denom)
 
 
-def leading_rowblock(class_entries) -> RowBlock:
-    """Largest row-block of a class, read off without any expansion.
-
-    The class entries themselves are the powers; bars fall between equal
-    adjacent entries.  The variable partition is the canonical one of the
-    class representative (the regular form with nondecreasing entries).
-    """
-    c = tuple(class_entries)
-    if not valid_class(c):
-        raise ValueError(f"{c} is not a valid class vector")
-    blocks: list[list[int]] = [[c[0]]]
-    variables: list[list[int]] = [[1]]
-    for pos in range(1, len(c)):
-        if c[pos] == c[pos - 1]:
-            blocks.append([c[pos]])
-            variables.append([pos + 1])
-        else:
-            blocks[-1].append(c[pos])
-            variables[-1].append(pos + 1)
-    return RowBlock(
-        tuple(tuple(b) for b in blocks),
-        tuple(tuple(v) for v in variables),
-        1,
-    )
-
-
 def diagonal_rowblock(form: CvForm) -> RowBlock:
     """Greedy staircase term of a form's expansion.
 
@@ -552,22 +526,8 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
     return RowBlock(tuple(blocks), table.blocks, sign)
 
 
-def characteristic_monomial(rb: RowBlock) -> tuple[int, ...]:
-    """Exponent vector of the diagonal monomial of a row-block.
-
-    Within each minor the c-th variable takes the c-th power; the
-    coefficient is discarded.
-    """
-    nvars = sum(len(b) for b in rb.var_partition)
-    exps = [0] * nvars
-    for powers, variables in zip(rb.blocks, rb.var_partition):
-        for var, p in zip(variables, powers):
-            exps[var - 1] = p
-    return tuple(exps)
-
-
 def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
-    """``characteristic_monomial(diagonal_rowblock(form))``, in O(N).
+    """Exponents of the diagonal monomial of ``diagonal_rowblock(form)``, in O(N).
 
     After zero removal the staircase gives the variable at position r of
     the stable entry sort the power ``entry - r``; no sign, decoding table

@@ -1,0 +1,50 @@
+"""Row-block helpers that only the tests use.
+
+``characteristic_monomial(diagonal_rowblock(form))`` is the slow path
+that the O(N) kernel ``laplace.characteristic_exponents`` is held to, and
+``leading_rowblock`` reads the largest row-block of a class with no
+expansion, to check the row-block order against ``expand_rowblocks``.
+"""
+
+from cvforms.cvform import valid_class
+from cvforms.laplace import RowBlock
+
+
+def leading_rowblock(class_entries) -> RowBlock:
+    """Largest row-block of a class, read off without any expansion.
+
+    The class entries themselves are the powers; bars fall between equal
+    adjacent entries.  The variable partition is the canonical one of the
+    class representative (the regular form with nondecreasing entries).
+    """
+    c = tuple(class_entries)
+    if not valid_class(c):
+        raise ValueError(f"{c} is not a valid class vector")
+    blocks: list[list[int]] = [[c[0]]]
+    variables: list[list[int]] = [[1]]
+    for pos in range(1, len(c)):
+        if c[pos] == c[pos - 1]:
+            blocks.append([c[pos]])
+            variables.append([pos + 1])
+        else:
+            blocks[-1].append(c[pos])
+            variables[-1].append(pos + 1)
+    return RowBlock(
+        tuple(tuple(b) for b in blocks),
+        tuple(tuple(v) for v in variables),
+        1,
+    )
+
+
+def characteristic_monomial(rb: RowBlock) -> tuple[int, ...]:
+    """Exponent vector of the diagonal monomial of a row-block.
+
+    Within each minor the c-th variable takes the c-th power; the
+    coefficient is discarded.
+    """
+    nvars = sum(len(b) for b in rb.var_partition)
+    exps = [0] * nvars
+    for powers, variables in zip(rb.blocks, rb.var_partition):
+        for var, p in zip(variables, powers):
+            exps[var - 1] = p
+    return tuple(exps)

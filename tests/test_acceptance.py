@@ -231,7 +231,8 @@ def test_criterion_10_counting_identities():
 
 def test_criterion_11_characteristic_uniqueness():
     t0 = time.perf_counter()
-    from cvforms.laplace import characteristic_monomial, diagonal_rowblock
+    from cvforms.laplace import diagonal_rowblock
+    from rowblock_slow_path import characteristic_monomial
 
     ok = True
     for n in range(1, 8):

@@ -1,6 +1,7 @@
 """Basis generation, harmonicity, and exact independence."""
 
 import collections
+import copy
 import itertools
 import math
 import pickle
@@ -46,7 +47,7 @@ from cvforms.basis import (
 )
 from cvforms import laplace
 from cvforms.laplace import _FormRow, _integer_value
-from cvforms.ribbon import count_tableaux, enumerate_ribbons, enumerate_tableaux, ribbons_of_degree
+from cvforms.ribbon import Ribbon, SkewTableau, count_tableaux, enumerate_ribbons, enumerate_tableaux, ribbons_of_degree
 
 
 class TestQFactorial:
@@ -504,6 +505,93 @@ class TestStreamedCharacteristics:
         for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision"):
             monkeypatch.setattr(basis_module, name, built)
         assert chars_suite(6)["checks"] == {"forms": 720, "distinct": True}
+
+    def test_one_box_reads_a_one_tuple(self):
+        # an itemgetter of one index would return the bare entry
+        forms = list(basis_module._streamed_forms(1))
+        assert forms == [CvForm((0,))]
+        assert type(forms[0].entries) is tuple
+
+    def test_one_and_two_boxes_are_pinned(self):
+        one = Ribbon(((0, 0),))
+        assert generate_basis(1) == Basis(1, None, (1,), (BasisForm(CvForm((0,)), SkewTableau(one, (1,))),))
+        column, row = Ribbon(((1, 1), (0, 1))), Ribbon(((0, 0), (0, 1)))
+        forms = (BasisForm(CvForm((1, 1)), SkewTableau(column, (2, 1))), BasisForm(CvForm((1, 0)), SkewTableau(row, (1, 2))))
+        assert generate_basis(2) == Basis(2, None, (2, 1), forms)
+
+    @pytest.mark.parametrize("column", [-1, 3])
+    def test_ribbon_column_out_of_range_is_caught(self, column, monkeypatch):
+        # the range is checked once per ribbon, not per form: a ribbon whose
+        # column leaves 0..N-1 must stop both readers before any form is built;
+        # the stub is the one-row ribbon with its first box moved, unvalidated
+        ribbons = list(enumerate_ribbons(3))
+        stub = copy.copy(ribbons[-1])
+        object.__setattr__(stub, "boxes", ((0, column), (0, 1), (0, 2)))
+        ribbons[-1] = stub
+        monkeypatch.setattr(basis_module, "enumerate_ribbons", lambda n: iter(ribbons))
+        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
+            list(basis_module._streamed_forms(3))
+        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
+            generate_basis(3)
+
+
+def _assert_accepted(forms) -> int:
+    # every form CvForm.trusted built is one that CvForm accepts unchanged;
+    # returns the number of forms checked, so no test passes on none
+    count = 0
+    for f in forms:
+        assert type(f.entries) is tuple and all(type(e) is int for e in f.entries), f
+        assert CvForm(f.entries).entries == f.entries
+        count += 1
+    return count
+
+
+class TestTrustedForms:
+    """The package's own constructions skip the range check of ``CvForm``."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_streamed_forms(self, n):
+        assert _assert_accepted(basis_module._streamed_forms(n)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_basis_in_three_reading_orders(self, n):
+        evens_first = (*range(2, n + 1, 2), *range(1, n + 1, 2))
+        for order in [backward_order(n), tuple(range(1, n + 1)), evens_first]:
+            assert _assert_accepted(bf.form for bf in generate_basis(n, None, order).forms) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_basis_slices(self, n):
+        for d in range(n * (n - 1) // 2 + 1):
+            assert _assert_accepted(bf.form for bf in generate_basis(n, d).forms) == q_factorial(n)[d]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_remove_zeros_rotation(self, n):
+        # one variable has no rotation: [0] is a scalar
+        reduced = (CvForm(e).remove_zeros()[1] for e in itertools.product(range(n), repeat=n))
+        assert _assert_accepted(f for f in reduced if f is not None) > 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lowered_forms(self, n):
+        for bf in generate_basis(n).forms:
+            for k in range(n + 1):
+                lowered = basis_module._lowered_forms(bf.form, k)
+                assert _assert_accepted(lowered) == sum(e >= k for e in bf.form.entries)
+
+    def test_backward_reading_of_every_order(self, monkeypatch):
+        real, seen = basis_module._FormRow, []
+
+        def spy(form, expand):
+            seen.append(form)
+            return real(form, expand)
+
+        monkeypatch.setattr(basis_module, "_FormRow", spy)
+        backward = collections.Counter(bf.form for bf in generate_basis(4).forms)
+        for order in itertools.permutations(range(1, 5)):
+            seen.clear()
+            assert verify_independence(generate_basis(4, None, order)) == (24, True)
+            assert _assert_accepted(seen) == 24
+            # read backwards, every order's forms are the backward basis
+            assert collections.Counter(seen) == backward, order
 
 
 class TestCharacteristicUniqueness:

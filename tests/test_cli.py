@@ -203,6 +203,12 @@ class TestBasis:
         assert len(data["forms"]) == 5
         assert all("class" in f for f in data["forms"])
 
+    def test_json_at_one_box_is_pinned(self, capsys):
+        # the one-value reading yields a 1-tuple of entries, not a bare int
+        form = {"entries": [0], "degree": 0, "tableau": {"boxes": [[0, 0]], "filling": [1]}, "type": [0], "class": [0]}
+        record = {"schema": "cvforms.basis/1", "n": 1, "degree": None, "reading_order": [1], "forms": [form]}
+        assert run(["basis", "1", "--format", "json"], capsys) == (0, json.dumps(record, indent=2) + "\n", "")
+
 
 class TestCount:
     def test_mahonian(self, capsys):
@@ -537,6 +543,12 @@ class TestVerify:
         code, _, err = run(["verify", "4", "chars"], capsys)
         assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chars_at_one_and_two_boxes_is_pinned(self, n, capsys):
+        # one permutation, and an empty fall word: the edges of the reader
+        lines = [f"suite: chars n={n}", f"forms: {n}", "characteristic monomials pairwise distinct: True", "result: PASS"]
+        assert run(["verify", str(n), "chars"], capsys) == (0, "\n".join(lines) + "\n", "")
 
     @pytest.mark.parametrize(
         "suite, lines, checks, err",

@@ -30,12 +30,11 @@ from cvforms.laplace import (
     _integer_value,
     _order_key,
     characteristic_exponents,
-    characteristic_monomial,
     diagonal_rowblock,
-    leading_rowblock,
     normalized_vandermonde,
     rowblock_value,
 )
+from rowblock_slow_path import characteristic_monomial, leading_rowblock
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
