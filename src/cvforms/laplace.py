@@ -23,7 +23,7 @@ import math
 from collections.abc import KeysView, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, neg
+from operator import itemgetter, le, neg
 
 from .cvform import CvForm, permutation_sign
 from .poly import Polynomial
@@ -402,6 +402,15 @@ def evaluate(form: CvForm) -> Polynomial:
     return Polynomial.from_numerators(form.N, *_integer_value(form))
 
 
+@lru_cache(maxsize=None)
+def _mask_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending rows of every bitmask below ``2^n``, indexed by mask."""
+    table: list[tuple[int, ...]] = [()]
+    for r in range(n):
+        table += [rows + (r,) for rows in table]
+    return tuple(table)
+
+
 def naive_oracle(form: CvForm) -> Polynomial:
     """Cofactor-expansion determinant of the defining matrix.
 
@@ -412,29 +421,42 @@ def naive_oracle(form: CvForm) -> Polynomial:
     ``col..N-1`` is keyed by the exponents of those columns: a cell times
     a minor prefixes the cell's exponent, and distinct rows give distinct
     prefixes, so no two products share a key.
+
+    Minors are memoized per form by the bitmask of their rows.  Cell
+    (r, j) is nonzero exactly when ``r <= e_j``, so a minor has a
+    Leibniz term with no zero cell only if its k-th smallest row is at
+    most the k-th smallest entry of its columns, for every k (Hall's
+    condition for these nested row sets).  A minor that fails this is
+    identically zero and is not expanded; a vanishing form costs one
+    check.
     """
     n = form.N
     ent = form.entries
-    memo: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(): {(): 1}}
+    rows_of = _mask_rows(n)
+    room = [sorted(ent[col:]) for col in range(n)]
+    memo: list[dict[tuple[int, ...], int] | None] = [None] * len(rows_of)
+    memo[0] = {(): 1}
 
-    def minor(rows: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        got = memo.get(rows)
+    def minor(mask: int, col: int) -> dict[tuple[int, ...], int]:
+        got = memo[mask]
         if got is not None:
             return got
-        e = ent[n - len(rows)]
+        rows = rows_of[mask]
         acc: dict[tuple[int, ...], int] = {}
-        for idx, r in enumerate(rows):
-            if r > e:
-                break
-            scale = math.perm(e, r) if idx % 2 == 0 else -math.perm(e, r)
-            head = (e - r,)
-            for tail, c in minor(rows[:idx] + rows[idx + 1:]).items():
-                acc[head + tail] = scale * c
-        memo[rows] = acc
+        if all(map(le, rows, room[col])):
+            e = ent[col]
+            for idx, r in enumerate(rows):
+                if r > e:
+                    break
+                scale = math.perm(e, r) if idx % 2 == 0 else -math.perm(e, r)
+                head = (e - r,)
+                for tail, c in minor(mask ^ (1 << r), col + 1).items():
+                    acc[head + tail] = scale * c
+        memo[mask] = acc
         return acc
 
     denom = math.prod(math.factorial(e) for e in ent)
-    return Polynomial.from_numerators(n, minor(tuple(range(n))), denom)
+    return Polynomial.from_numerators(n, minor(len(rows_of) - 1, 0), denom)
 
 
 @lru_cache(maxsize=None)
@@ -482,25 +504,42 @@ def derivative_oracle(form: CvForm) -> Polynomial:
     are applied in one depth-first walk of the Vandermonde's exponent
     trie: t_i^e becomes ``e!/(e-k)!`` times t_i^(e-k), and a branch is
     dropped at the first variable whose exponent is below its order k.
+    The walk recurses down to depth N-2 and closes the last two variables
+    there in one nested loop, so a parent of leaves costs no call.
     """
     n = form.N
     denom, trie = _integer_vandermonde(n)
     orders = [n - 1 - e for e in form.entries]
+    last = orders[-1]
     out: dict[tuple[int, ...], int] = {}
+    perm = math.perm
 
     def walk(level: tuple, depth: int, head: tuple[int, ...], coeff: int) -> None:
         k = orders[depth]
+        if depth < n - 2:
+            for e, child in level:
+                if e < k:
+                    break
+                walk(child, depth + 1, head + (e - k,), coeff * perm(e, k))
+            return
         for e, child in level:
             if e < k:
                 break
-            c = coeff * math.perm(e, k)
+            c = coeff * perm(e, k)
             key = head + (e - k,)
-            if depth == n - 1:
-                out[key] = c * child
-            else:
-                walk(child, depth + 1, key, c)
+            for f, leaf in child:
+                if f < last:
+                    break
+                out[key + (f - last,)] = c * perm(f, last) * leaf
 
-    walk(trie, 0, (), 1)
+    if n == 1:
+        # no depth N-2: the trie's one level holds the leaves
+        for e, leaf in trie:
+            if e < last:
+                break
+            out[(e - last,)] = perm(e, last) * leaf
+    else:
+        walk(trie, 0, (), 1)
     return Polynomial.from_numerators(n, out, denom)
 
 

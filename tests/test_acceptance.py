@@ -35,7 +35,7 @@ from cvforms import (
     verify_harmonicity,
     verify_independence,
 )
-from cvforms.ribbon import count_syt
+from skew_count import count_syt
 
 
 def report(num: int, name: str, ok: bool, started: float, budget: float | None) -> None:

@@ -5,6 +5,7 @@ import collections
 import inspect
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -342,9 +343,87 @@ class TestOraclesAgainstLeibniz:
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
         assert not names & {"expand_rowblocks", "_walk", "_block_expansion", "_integer_value", "_FormRow", "evaluate"}
+        assert not names & {"_sorted_table", "remove_zeros", "_grouped", "characteristic_exponents"}
         # the walk does find the enumerator where it is used
         assert {"_walk", "_block_expansion", "_integer_value", "_FormRow"} <= _laplace_names(evaluate)
         assert "_walk" in _laplace_names(expand_rowblocks)
+        assert {"_sorted_table", "remove_zeros", "_grouped"} <= _laplace_names(evaluate)
+
+    def test_oracles_share_no_helper(self):
+        naive = _laplace_names(naive_oracle)
+        derivative = _laplace_names(derivative_oracle)
+        assert not naive & {"_integer_vandermonde", "derivative_oracle"}
+        helpers = {name for name in naive if callable(getattr(laplace, name, None)) and name.startswith("_")}
+        assert "_mask_rows" in helpers
+        assert not derivative & helpers
+        # the derivative route decides vanishing forms by its own walk
+        assert "le" in naive
+        assert "le" not in derivative
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exhaustive_small(self, n):
+        for entries in itertools.product(range(n), repeat=n):
+            self.check(entries)
+
+    @staticmethod
+    def structurally_zero(rows, entries) -> bool:
+        """No assignment of rows to columns puts every row at or below its column's entry."""
+        return not any(all(map(operator.le, p, entries)) for p in itertools.permutations(rows))
+
+    @pytest.mark.parametrize(
+        "entries", [(4, 0, 1, 2, 3), (4, 4, 0, 1, 2), (5, 0, 1, 2, 3, 4), (5, 2, 0, 1, 3, 5)]
+    )
+    def test_nonzero_forms_with_zero_suffix_minors(self, entries):
+        # column 0 may take row 0, which leaves a minor on rows 1..N-1 and
+        # columns 1..N-1 with no nonzero Leibniz term
+        n = len(entries)
+        assert self.structurally_zero(range(1, n), entries[1:])
+        assert leibniz_det(CvForm(entries))
+        self.check(entries)
+
+    def test_oracles_agree_up_to_five(self):
+        for n in range(1, 6):
+            for entries in itertools.product(range(n), repeat=n):
+                f = CvForm(entries)
+                assert naive_oracle(f) == derivative_oracle(f)
+
+    def test_oracles_agree_on_the_oracle6_samples(self):
+        # the forms of `verify 6 oracle --samples 1000 --seed 1`
+        rng = random.Random(1)
+        forms = [CvForm(tuple(rng.randrange(6) for _ in range(6))) for _ in range(1000)]
+        nonzero = 0
+        for f in forms:
+            value = naive_oracle(f)
+            assert value == derivative_oracle(f)
+            nonzero += bool(value)
+        assert nonzero == 366
+
+    def test_vanishing_form_costs_one_check(self, monkeypatch):
+        read: list[int] = []
+        table = laplace._mask_rows
+
+        class Recorded:
+            def __init__(self, n):
+                self.rows = table(n)
+
+            def __len__(self):
+                return len(self.rows)
+
+            def __getitem__(self, mask):
+                read.append(mask)
+                return self.rows[mask]
+
+        monkeypatch.setattr(laplace, "_mask_rows", Recorded)
+        vanishing = 0
+        for n in range(1, 5):
+            for entries in itertools.product(range(n), repeat=n):
+                read.clear()
+                if not naive_oracle(CvForm(entries)):
+                    vanishing += 1
+                    assert read == [2**n - 1], entries
+                else:
+                    assert read[0] == 2**n - 1
+        assert vanishing == 0 + 1 + 11 + 131
 
 
 class TestIntegerKernel:

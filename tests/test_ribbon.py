@@ -29,7 +29,8 @@ from cvforms import (
     to_skew_partition,
     valid_class,
 )
-from cvforms.ribbon import count_syt, count_tableaux
+from cvforms.ribbon import count_tableaux
+from skew_count import count_syt
 
 GOLDEN_CLASS = (4, 4, 3, 2, 1, 1, 1, 0)
 GOLDEN_FILLING = (4, 8, 5, 3, 1, 2, 7, 6)
