@@ -357,9 +357,10 @@ def verify_independence(basis: Basis) -> tuple[int, bool]:
 def characteristic_collision(basis: Basis) -> tuple[CvForm, CvForm, tuple[int, ...]] | None:
     """The first two forms that share a diagonal monomial, and that monomial.
 
-    Requires the backward reading order, for which the diagonal exponents
-    are the form types; no polynomial expansion is involved.  Returns None
-    when the monomials are pairwise distinct.
+    Requires the backward reading order.  Each diagonal monomial is the
+    type of the zero-removed form (``characteristic_exponents``), so no
+    polynomial expansion is involved.  Returns None when the monomials
+    are pairwise distinct.
     """
     if basis.reading_order != backward_order(basis.n):
         raise ValueError("characteristic uniqueness is defined for the backward reading")
@@ -424,7 +425,10 @@ def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
     if values[0] == values[1] == values[2]:
         return bool(values[0]), None
     # the first monomial at which some value differs from the first one
-    exps = min((d.first_monomial() for d in (values[0] - values[1], values[0] - values[2]) if d), key=_term_key)
+    diffs = (values[0] - values[1], values[0] - values[2])
+    exps = min((d.first_monomial() for d in diffs if d), key=_term_key, default=None)
+    if exps is None:  # they differ only by stored zero coefficients, so they are equal
+        return bool(values[0]), None
     names = ("evaluate", "naive_oracle", "derivative_oracle")
     coeffs = ", ".join(f"{name} {v.terms.get(exps, 0)}" for name, v in zip(names, values))
     return bool(values[0]), f"witness: {form} first differs at {_monomial_text(exps)}: {coeffs}"

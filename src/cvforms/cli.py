@@ -51,6 +51,9 @@ DEFAULT_SEED = 1729
 # for more, and a larger N exits 2 before any work
 MAX_N = 16
 
+# the oracle suite's largest N: derivative_oracle first expands the N! Vandermonde terms
+MAX_ORACLE_N = 9
+
 
 def _check_size(n: int) -> None:
     if n < 1:
@@ -329,22 +332,18 @@ def text_count(record: dict, args) -> None:
         print(record["ribbons"])
     else:
         for entry in record["gf"]:
-            poly = _format_t_poly({t["power"]: t["coeff"] for t in entry["t"]})
+            poly = _format_t_poly(entry["t"])
             print(poly if args.at is not None else f"q^{entry['q']}: {poly}")
 
 
-def _format_t_poly(coeffs: dict[int, int]) -> str:
-    if not coeffs:
-        return "0"
+def _format_t_poly(terms: list[dict]) -> str:
+    # the record lists the terms in descending power
     parts = []
-    for l in sorted(coeffs, reverse=True):
-        c = coeffs[l]
-        if l == 0:
-            parts.append(str(c))
-        else:
-            t = "t" if l == 1 else f"t^{l}"
-            parts.append(t if c == 1 else f"{c}{t}")
-    return " + ".join(parts)
+    for term in terms:
+        l, c = term["power"], term["coeff"]
+        t = "" if l == 0 else "t" if l == 1 else f"t^{l}"
+        parts.append(t if c == 1 and t else f"{c}{t}")
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------- verify
@@ -365,6 +364,8 @@ def cmd_verify(args) -> dict:
     _check_size(n)
     if args.degree is not None and suite != "rank":
         raise ValueError("--degree applies to the rank suite only")
+    if suite == "oracle" and n > MAX_ORACLE_N:
+        raise ValueError(f"N={n} is above the largest oracle suite size {MAX_ORACLE_N}")
     if suite == "oracle" and args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if suite == "harmonic" and kmax is not None:

@@ -8,8 +8,8 @@ normalized Vandermonde determinant ``[N-1 ... N-1]``, where entry ``ni``
 means variable ``t_i`` was differentiated ``N-1-ni`` times.
 
 This module covers the entry-level combinatorics of forms: degree, zero
-removal, the standard permutation, type and class vectors, and stable
-entry sorting.  Polynomial evaluation lives in :mod:`cvforms.laplace`.
+removal, the standard permutation, and type and class vectors.
+Polynomial evaluation lives in :mod:`cvforms.laplace`.
 """
 
 from __future__ import annotations
@@ -153,17 +153,20 @@ class CvForm:
         return (-1) ** ((n - 1) * r), CvForm.trusted(tuple((e - r) % n for e in ent))
 
     def standard_permutation(self) -> tuple[int, ...]:
-        """Ranks of the entries, ties resolved left to right."""
-        ent = self.entries
-        return tuple(
-            1 + sum(1 for j, ej in enumerate(ent) if ej < ei or (ej == ei and j < i))
-            for i, ei in enumerate(ent)
-        )
+        """Ranks of the entries, ties resolved left to right: ``entry - type + 1``."""
+        return tuple(e - t + 1 for e, t in zip(self.entries, self.type_of()))
 
     def type_of(self) -> tuple[int, ...]:
-        """Componentwise ``ni - si + 1`` against the standard permutation."""
-        s = self.standard_permutation()
-        return tuple(e - si + 1 for e, si in zip(self.entries, s))
+        """Componentwise ``ni - si + 1`` against the standard permutation s.
+
+        One stable sort ranks the entries, ties left to right, and each entry
+        loses its 0-based rank; ``laplace.characteristic_exponents`` reads it.
+        """
+        ent = self.entries
+        typ = list(ent)
+        for rank, i in enumerate(sorted(range(len(ent)), key=ent.__getitem__)):
+            typ[i] -= rank
+        return tuple(typ)
 
     def is_regular(self) -> bool:
         """True when the sorted entries rise in steps of at most one."""
@@ -175,13 +178,3 @@ class CvForm:
         if not self.is_regular():
             raise ValueError(f"{self} is not regular, it has no class")
         return tuple(sorted(self.type_of(), reverse=True))
-
-    def sort_entries(self) -> tuple["CvForm", tuple[int, ...], int]:
-        """Stable sort of the entries.
-
-        Returns the sorted form, the 1-based source position of each
-        sorted column, and the sign of that permutation.
-        """
-        order = sorted(range(self.N), key=lambda i: (self.entries[i], i))
-        perm = tuple(i + 1 for i in order)
-        return CvForm(self.entries[i] for i in order), perm, permutation_sign(perm)

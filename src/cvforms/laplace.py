@@ -183,8 +183,8 @@ def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
     form has no table: its value is the sign itself (0 for the zero form).
     One O(N) pass past zero removal: the stable order is computed once,
     its sign read off its cycles, and its columns grouped by ``_grouped``.
-    It equals ``sort_entries`` then ``build_decoding_table``, which build
-    a second form and check again what the sort has just made.
+    It equals the tests' ``sort_entries`` then ``build_decoding_table``,
+    which build a second form and check again what the sort has just made.
     """
     sign, reduced = form.remove_zeros()
     if reduced is None:
@@ -568,19 +568,16 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
 def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
     """Exponents of the diagonal monomial of ``diagonal_rowblock(form)``, in O(N).
 
-    After zero removal the staircase gives the variable at position r of
-    the stable entry sort the power ``entry - r``; no sign, decoding table
-    or row-block is built.  Raises where ``diagonal_rowblock`` raises.
+    After zero removal the staircase gives each variable its entry minus its
+    stable rank, the type of the reduced form (``CvForm.type_of``).  No sign,
+    decoding table or row-block is built; raises where ``diagonal_rowblock`` does.
     """
     sign, reduced = form.remove_zeros()
     if reduced is None:
         if sign == 0:
             raise ValueError(f"{form} is the zero form, it has no row-blocks")
         return (0,) * form.N
-    ent = reduced.entries
-    exps = [0] * len(ent)
-    for rank, i in enumerate(sorted(range(len(ent)), key=ent.__getitem__)):
-        exps[i] = ent[i] - rank
+    exps = reduced.type_of()
     if min(exps) < 0:
         raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
-    return tuple(exps)
+    return exps

@@ -250,7 +250,8 @@ def tableau_from_cvform(form: CvForm) -> SkewTableau:
     """Inverse of the backward reading, when the form is standard.
 
     The class of the form fixes the ribbon; values are replayed from N
-    down to 1, each dropping into the lowest free box of its column.
+    down to 1, each dropping into the lowest free box of its column.  The
+    walk steps only right or up, so it lists each column bottom first.
     Raises when the form is not regular or the filling is not standard.
     """
     r = class_to_ribbon(form.class_of())
@@ -258,8 +259,6 @@ def tableau_from_cvform(form: CvForm) -> SkewTableau:
     by_col: dict[int, list[int]] = {}
     for idx, (k, c) in enumerate(r.boxes):
         by_col.setdefault(c, []).append(idx)
-    for stack in by_col.values():
-        stack.sort(key=lambda idx: -r.boxes[idx][0])  # bottom first
     slots = [0] * n
     for j, col in enumerate(form.entries):
         stack = by_col.get(col)

@@ -1,13 +1,26 @@
 """Row-block helpers that only the tests use.
 
 ``characteristic_monomial(diagonal_rowblock(form))`` is the slow path
-that the O(N) kernel ``laplace.characteristic_exponents`` is held to, and
+that the O(N) kernel ``laplace.characteristic_exponents`` is held to,
 ``leading_rowblock`` reads the largest row-block of a class with no
-expansion, to check the row-block order against ``expand_rowblocks``.
+expansion, to check the row-block order against ``expand_rowblocks``, and
+``sort_entries`` then ``build_decoding_table`` is the validated chain
+that ``laplace._sorted_table`` replaces.
 """
 
-from cvforms.cvform import valid_class
+from cvforms.cvform import CvForm, permutation_sign, valid_class
 from cvforms.laplace import RowBlock
+
+
+def sort_entries(form: CvForm) -> tuple[CvForm, tuple[int, ...], int]:
+    """Stable sort of the entries.
+
+    Returns the sorted form, the 1-based source position of each
+    sorted column, and the sign of that permutation.
+    """
+    order = sorted(range(form.N), key=lambda i: (form.entries[i], i))
+    perm = tuple(i + 1 for i in order)
+    return CvForm(form.entries[i] for i in order), perm, permutation_sign(perm)
 
 
 def leading_rowblock(class_entries) -> RowBlock:

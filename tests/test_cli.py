@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cvforms import Polynomial, basis, cli
+from cvforms import Polynomial, basis, cli, laplace
 from cvforms.cvform import CvForm
 from cvforms.ribbon import enumerate_ribbons
 
@@ -480,6 +480,23 @@ class TestVerify:
         assert record["_stderr"] == err.splitlines()
         assert record["_listing"] == ["mismatch: [1 2 2]"]
 
+    def test_stored_zero_coefficient_is_no_mismatch(self, capsys, monkeypatch):
+        # an oracle value with a stored zero numerator compares unequal by
+        # its key set, yet no monomial differs: the values agree
+        real = basis.derivative_oracle
+
+        def padded(form):
+            value = real(form)
+            numerators = dict(value._numerators)
+            numerators[(0,) * form.N] = numerators.get((0,) * form.N, 0)
+            return Polynomial.from_numerators(form.N, numerators, value._denom)
+
+        monkeypatch.setattr(basis, "derivative_oracle", padded)
+        code, out, err = run(["verify", "3", "oracle"], capsys)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["mismatches: 0", "result: PASS"]
+        assert err == "nonzero forms: 16 of 27\n"
+
     @pytest.mark.parametrize(
         "argv, line",
         [
@@ -909,6 +926,20 @@ class TestSizeGuard:
     def test_accepts_the_largest_size(self, argv, no_work):
         with pytest.raises(_Started):
             cli.main([a.format(n=cli.MAX_N) for a in argv])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refuses_an_oracle_size_before_the_vandermonde(self, fmt, no_work, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(laplace, "_integer_vandermonde", lambda n: built.append(n))
+        code, out, err = run(["verify", "10", "oracle", "--format", fmt], capsys)
+        assert (code, out, built) == (2, "", [])
+        assert err == f"error: N=10 is above the largest oracle suite size {cli.MAX_ORACLE_N}\n"
+        assert cli.MAX_ORACLE_N == 9 < cli.MAX_N
+
+    def test_accepts_the_largest_oracle_size(self, no_work):
+        # the fixture stops the run at the suite, so no N=9 trie is built
+        with pytest.raises(_Started):
+            cli.main(["verify", str(cli.MAX_ORACLE_N), "oracle"])
 
     def test_accepts_every_size_the_workflow_runs(self):
         workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"

@@ -35,7 +35,7 @@ from cvforms.laplace import (
     normalized_vandermonde,
     rowblock_value,
 )
-from rowblock_slow_path import characteristic_monomial, leading_rowblock
+from rowblock_slow_path import characteristic_monomial, leading_rowblock, sort_entries
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
@@ -143,7 +143,7 @@ class TestExpansion:
         # sorting columns relabels variables and contributes its sign:
         # [3 2 2 1] sorts to [1 2 2 3] by the odd permutation (4 2 3 1)
         f = CvForm((3, 2, 2, 1))
-        sf, perm, sign = f.sort_entries()
+        sf, perm, sign = sort_entries(f)
         relabeled = {}
         for exps, coeff in evaluate(sf).terms.items():
             new = [0] * f.N
@@ -398,6 +398,14 @@ class TestOraclesAgainstLeibniz:
             nonzero += bool(value)
         assert nonzero == 366
 
+    def test_no_route_stores_a_zero_coefficient(self):
+        # equality compares key sets, so a stored zero would read as a mismatch
+        rng = random.Random(1)
+        samples = [CvForm(tuple(rng.randrange(6) for _ in range(6))) for _ in range(1000)]
+        for f in itertools.chain(_all_forms(5), samples):
+            for route in (evaluate, naive_oracle, derivative_oracle):
+                assert all(route(f).terms.values()), (route.__name__, f)
+
     def test_vanishing_form_costs_one_check(self, monkeypatch):
         read: list[int] = []
         table = laplace._mask_rows
@@ -563,7 +571,7 @@ def _frozen_expand_rowblocks(form: CvForm):
         order = sorted(range(n), key=lambda i: (form.entries[i], i))
         groups = tuple((i + 1,) for i in order)
         return groups, [RowBlock(((0,),) * n, groups, sign0)]
-    sorted_form, perm, sort_sign = reduced.sort_entries()
+    sorted_form, perm, sort_sign = sort_entries(reduced)
     table = build_decoding_table(sorted_form, perm)
     groups, values, mults = table.blocks, table.values, table.multiplicities
     terms = []
@@ -756,6 +764,14 @@ class TestCharacteristicKernel:
         for bf in generate_basis(7).forms:
             assert characteristic_exponents(bf.form) == _slow_characteristic(bf.form)
 
+    def test_the_kernel_reads_the_type_and_ranks_nothing(self):
+        # one implementation of the type vector: CvForm.type_of ranks the entries
+        names = _laplace_names(characteristic_exponents)
+        assert {"remove_zeros", "type_of"} <= names
+        assert not names & {"sorted", "sort", "enumerate", "standard_permutation"}
+        tree = ast.parse(inspect.getsource(characteristic_exponents))
+        assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension)) for node in ast.walk(tree))
+
     def test_ties_take_their_stable_rank(self):
         assert characteristic_exponents(CvForm((2, 2, 4, 4, 5, 5))) == (2, 1, 2, 1, 1, 0)
         assert characteristic_exponents(CvForm((3, 1, 1, 3))) == (1, 1, 0, 0)
@@ -809,7 +825,7 @@ def _chained_table(form: CvForm):
     sign, reduced = form.remove_zeros()
     if reduced is None:
         return sign, None
-    sorted_form, perm, sort_sign = reduced.sort_entries()
+    sorted_form, perm, sort_sign = sort_entries(reduced)
     return sign * sort_sign, build_decoding_table(sorted_form, perm)
 
 

@@ -273,6 +273,15 @@ class TestInjection:
                     assert tableau_from_cvform(form) == t
                     assert form.class_of() == r.class_entries()
 
+    def test_walk_lists_each_column_bottom_first(self):
+        # tableau_from_cvform stacks each column in walk order, unsorted
+        for n in range(1, 13):
+            for r in enumerate_ribbons(n):
+                rows: dict[int, list[int]] = {}
+                for k, c in r.boxes:
+                    rows.setdefault(c, []).append(k)
+                assert all(col == sorted(col, reverse=True) for col in rows.values()), r
+
     def test_types_are_distinct_per_class(self):
         for r in enumerate_ribbons(5):
             types = {tableau_to_type(t) for t in enumerate_tableaux(r)}
