@@ -18,6 +18,7 @@ unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -163,14 +164,10 @@ def text_expand(record: dict, args) -> None:
         print(rb)
 
 
-def cmd_type(args) -> dict:
+def cmd_vector(args) -> dict:
     form = CvForm.parse(args.form)
-    return {"schema": "cvforms.type/1", "form": str(form), "type": list(form.type_of())}
-
-
-def cmd_class(args) -> dict:
-    form = CvForm.parse(args.form)
-    return {"schema": "cvforms.class/1", "form": str(form), "class": list(form.class_of())}
+    vector = form.type_of() if args.command == "type" else form.class_of()
+    return {"schema": f"cvforms.{args.command}/1", "form": str(form), args.command: list(vector)}
 
 
 def text_vector(record: dict, args) -> None:
@@ -298,6 +295,8 @@ def text_basis(record: dict, args) -> None:
 
 def cmd_count(args) -> dict:
     n = args.n
+    if args.at is not None and args.what != "gf":
+        raise ValueError("--at applies to the gf table only")
     record = {"schema": "cvforms.count/1", "n": n}
     if args.what == "mahonian":
         record["mahonian"] = q_factorial(n)
@@ -445,7 +444,13 @@ def text_flip(record: dict, args) -> None:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    It binds each ``cmd_*`` and ``text_*`` when built: patching one later does not
+    reach ``main``, but patching a name they look up when called, such as ``basis.rank_suite``, does.
+    """
     parser = argparse.ArgumentParser(
         prog="cvforms",
         description="Exact evaluation and ribbon combinatorics of confluent Vandermonde forms.",
@@ -466,13 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     add_output(p, cmd_expand, text_expand)
 
-    p = sub.add_parser("type", help="type vector of a form")
-    p.add_argument("form")
-    add_output(p, cmd_type, text_vector)
-
-    p = sub.add_parser("class", help="class vector of a regular form")
-    p.add_argument("form")
-    add_output(p, cmd_class, text_vector)
+    for name, summary in (("type", "type vector of a form"), ("class", "class vector of a regular form")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("form")
+        add_output(p, cmd_vector, text_vector)
 
     p = sub.add_parser("ribbon", help="list ribbons for N boxes, or show one class")
     p.add_argument("target", help="box count N, or a class vector such as '[4 4 3 2 1 1 1 0]'")

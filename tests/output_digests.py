@@ -20,7 +20,6 @@ import itertools
 import json
 import sys
 from pathlib import Path
-from unittest import mock
 
 from cvforms import cli
 from cvforms.cvform import CvForm
@@ -31,20 +30,13 @@ FORMATS = ([], ["--format", "json"])
 
 
 def digests(argvs) -> list[str]:
-    """sha256 of ``[exit code, stdout, stderr]`` of each argv, run in process.
-
-    ``cli.main`` gets one parser from ``cli.build_parser`` for all the runs:
-    argparse keeps no state between parses, and building the parser is
-    most of the time of a small run.
-    """
-    parser = cli.build_parser()
+    """sha256 of ``[exit code, stdout, stderr]`` of each argv, run in process."""
     out = []
-    with mock.patch.object(cli, "build_parser", lambda: parser):
-        for argv in argvs:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(list(argv))
-            out.append(hashlib.sha256(json.dumps([code, stdout.getvalue(), stderr.getvalue()]).encode()).hexdigest())
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(list(argv))
+        out.append(hashlib.sha256(json.dumps([code, stdout.getvalue(), stderr.getvalue()]).encode()).hexdigest())
     return out
 
 
@@ -121,6 +113,8 @@ def _runs():
     yield ["basis", "4", "--order", ""]
     yield ["count", "0", "ribbons"]
     yield ["count", "5", "gf", "--at", "q^x"]
+    yield ["count", "4", "mahonian", "--at", "q^2"]
+    yield ["count", "4", "ribbons", "--at", "3"]
     yield ["verify", "0", "rank"]
     yield ["verify", "17", "chars"]
     yield ["verify", "10", "oracle"]

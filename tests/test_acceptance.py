@@ -11,20 +11,16 @@ import math
 import random
 import time
 
-from cvforms import (
-    CvForm,
-    Polynomial,
+from cvforms.basis import generate_basis, q_factorial, verify_harmonicity, verify_independence
+from cvforms.cvform import CvForm
+from cvforms.laplace import derivative_oracle, evaluate, expand_rowblocks, naive_oracle
+from cvforms.poly import Polynomial
+from cvforms.ribbon import (
     backward_order,
     class_to_ribbon,
-    derivative_oracle,
     enumerate_ribbons,
     enumerate_tableaux,
-    evaluate,
-    expand_rowblocks,
     flip,
-    generate_basis,
-    naive_oracle,
-    q_factorial,
     ribbon_generating_function,
     ribbon_index,
     ribbons_of_degree,
@@ -32,8 +28,6 @@ from cvforms import (
     tableau_to_cvform,
     tableau_to_type,
     to_skew_partition,
-    verify_harmonicity,
-    verify_independence,
 )
 from skew_count import count_syt
 
@@ -194,7 +188,7 @@ def test_criterion_08_harmonicity():
 
 def test_criterion_09_flip_golden_pair():
     t0 = time.perf_counter()
-    from cvforms import SkewTableau
+    from cvforms.ribbon import SkewTableau
 
     t = SkewTableau(class_to_ribbon((4, 4, 3, 2, 1, 1, 1, 0)), (4, 8, 5, 3, 1, 2, 7, 6))
     form = tableau_to_cvform(t)

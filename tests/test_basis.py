@@ -14,24 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvforms.basis as basis_module
-from cvforms import (
+from cvforms import laplace
+from cvforms.basis import (
     Basis,
     BasisForm,
-    CvForm,
-    Polynomial,
-    backward_order,
-    compare_bases,
-    evaluate,
-    flip,
-    fraction_free_rank,
-    generate_basis,
-    q_factorial,
-    tableau_to_cvform,
-    verify_characteristic_uniqueness,
-    verify_harmonicity,
-    verify_independence,
-)
-from cvforms.basis import (
     _certified_rank,
     _integer_rows,
     _lead_key,
@@ -39,15 +25,33 @@ from cvforms.basis import (
     chars_suite,
     characteristic_collision,
     coefficient_matrix,
+    compare_bases,
     flip_suite,
+    fraction_free_rank,
+    generate_basis,
     harmonic_suite,
     oracle_suite,
     orders_suite,
+    q_factorial,
     rank_suite,
+    verify_characteristic_uniqueness,
+    verify_harmonicity,
+    verify_independence,
 )
-from cvforms import laplace
-from cvforms.laplace import _FormRow, _integer_value
-from cvforms.ribbon import Ribbon, SkewTableau, count_tableaux, enumerate_ribbons, enumerate_tableaux, ribbons_of_degree
+from cvforms.cvform import CvForm
+from cvforms.laplace import _FormRow, _integer_value, evaluate
+from cvforms.poly import Polynomial
+from cvforms.ribbon import (
+    Ribbon,
+    SkewTableau,
+    backward_order,
+    count_tableaux,
+    enumerate_ribbons,
+    enumerate_tableaux,
+    flip,
+    ribbons_of_degree,
+    tableau_to_cvform,
+)
 
 
 class TestQFactorial:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cvforms import Polynomial, basis, cli, laplace
+from cvforms import basis, cli, laplace
 from cvforms.cvform import CvForm
+from cvforms.poly import Polynomial
 from cvforms.ribbon import enumerate_ribbons
 
 
@@ -269,6 +270,18 @@ class TestCount:
         assert code == 2
         assert out == ""
         assert err == "error: need at least one box\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("argv", [["count", "4", "mahonian", "--at", "q^2"], ["count", "4", "ribbons", "--at", "3"]])
+    def test_at_outside_gf_exits_two_before_any_work(self, argv, fmt, capsys, monkeypatch):
+        called = []
+        monkeypatch.setattr(cli, "q_factorial", called.append)
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert (code, out, called) == (2, "", [])
+        assert err == "error: --at applies to the gf table only\n"
+
+    def test_at_on_gf_reads_one_degree(self, capsys):
+        assert run(["count", "4", "gf", "--at", "q^2"], capsys) == (0, "t\n", "")
 
 
 class TestVerify:
@@ -828,6 +841,9 @@ class TestDeterminism:
         _, out1, _ = run(argv, capsys)
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestUsageErrors:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvforms import CvForm, permutation_sign, valid_class
+from cvforms.cvform import CvForm, permutation_sign, valid_class
 from rowblock_slow_path import sort_entries
 
 small_forms = st.integers(2, 6).flatmap(

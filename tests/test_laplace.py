@@ -13,28 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvforms import (
-    CvForm,
-    Polynomial,
-    RowBlock,
-    build_decoding_table,
-    derivative_oracle,
-    evaluate,
-    expand_rowblocks,
-    naive_oracle,
-    permutation_sign,
-)
 from cvforms import laplace
 from cvforms.basis import generate_basis
+from cvforms.cvform import CvForm, permutation_sign
 from cvforms.laplace import (
+    RowBlock,
     _FormRow,
     _integer_value,
     _order_key,
+    build_decoding_table,
     characteristic_exponents,
+    derivative_oracle,
     diagonal_rowblock,
+    evaluate,
+    expand_rowblocks,
+    naive_oracle,
     normalized_vandermonde,
     rowblock_value,
 )
+from cvforms.poly import Polynomial
 from rowblock_slow_path import characteristic_monomial, leading_rowblock, sort_entries
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvforms import Polynomial
-from cvforms.poly import sum_of
+from cvforms.poly import Polynomial, sum_of
 
 
 def p_x(nvars=2):

@@ -6,17 +6,18 @@ import pickle
 
 import pytest
 
-from cvforms import (
-    CvForm,
+from cvforms.basis import q_factorial
+from cvforms.cvform import CvForm, valid_class
+from cvforms.ribbon import (
     Ribbon,
     SkewPartition,
     SkewTableau,
     backward_order,
     class_to_ribbon,
+    count_tableaux,
     enumerate_ribbons,
     enumerate_tableaux,
     flip,
-    q_factorial,
     render_ribbon,
     render_tableau,
     ribbon_from_steps,
@@ -27,9 +28,7 @@ from cvforms import (
     tableau_to_cvform,
     tableau_to_type,
     to_skew_partition,
-    valid_class,
 )
-from cvforms.ribbon import count_tableaux
 from skew_count import count_syt
 
 GOLDEN_CLASS = (4, 4, 3, 2, 1, 1, 1, 0)
