@@ -24,6 +24,7 @@ from .laplace import (
     _expand_multiset,
     _FormRow,
     _order_key,
+    _sorted_table,
     characteristic_exponents,
     derivative_oracle,
     evaluate,
@@ -151,15 +152,66 @@ def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
     return [CvForm.trusted(ent[:i] + (e - k,) + ent[i + 1:]) for i, e in enumerate(ent) if e >= k]
 
 
-def verify_harmonicity(form: CvForm, kmax: int | None = None) -> dict:
-    """Check annihilation by the power sums along two routes.
+def _power_sum_memo():
+    """One run's reads of form values: ``(expand, derived)``.
 
-    Route one applies ``sum_i d^k/dt_i^k`` to the form's value with
-    ``Polynomial.symmetrized_derivative``.  Route two uses the identity
-    that the k-th power sum maps ``[.. ni ..]`` to the sum of forms with
-    one entry lowered by k (negative entries drop out): their values are
-    added up in one pass.  Both stay integer numerators over one
-    denominator; no Fraction is built.  ``witness`` is None when every
+    ``expand`` is ``_expand_multiset`` memoized for the run, the one name
+    through which both routes of ``verify_harmonicity`` read values.
+    ``derived(values, mults, k)`` is ``p_k(d)`` of the multiset's sorted
+    zero-free representative, applied once per multiset and k by
+    ``Polynomial.symmetrized_derivative``: its block-order ``(numerators,
+    D)``, or None when it is zero.  Both memos go with the run.
+    """
+    expand = cache(_expand_multiset)
+
+    @cache
+    def derived(values, mults, k):
+        image = Polynomial.from_numerators(sum(mults), *expand(values, mults)).symmetrized_derivative(k)
+        return image.numerators() if image else None
+
+    return expand, derived
+
+
+def _power_sum_images(form: CvForm, derived, kmax: int) -> list[tuple[int, ...] | None]:
+    """Route one: for k = 1..kmax, the first monomial of ``p_k(d) evaluate(form)``
+    in canonical order, or None where it is zero.
+
+    After zero removal and a stable sort, ``evaluate(form)`` is a sign
+    times the value of the sorted zero-free representative of its entry
+    multiset with the variables renamed: the column-permutation identity
+    of determinants, which ``_FormRow`` reads.  ``p_k(d) = sum_i
+    d^k/dt_i^k`` is symmetric in the variables, so it commutes with the
+    renaming: ``p_k(d) evaluate(form)`` is the same sign times the renamed
+    ``p_k(d)`` of the representative.  It is zero exactly when that is,
+    and its monomials are the renamed ones.  So the representative's
+    image, ``derived`` once per multiset and k, decides the check, and a
+    nonzero image is renamed into the form's own variables through the
+    form's ``_FormRow`` key map.  A scalar form has no representative; it
+    is a constant, which every ``p_k(d)`` kills.  A check on the form's
+    own value is no less blind to a sign or renaming fault, so nothing
+    is lost.
+    """
+    _, table = _sorted_table(form)
+    if table is None:
+        return [None] * kmax
+    firsts = []
+    for k in range(1, kmax + 1):
+        image = derived(table.values, table.multiplicities, k)
+        firsts.append(None if image is None else min(_FormRow(form, lambda *_: image), key=_term_key))
+    return firsts
+
+
+def verify_harmonicity(form: CvForm, kmax: int | None = None, memo=None) -> dict:
+    """Check annihilation by the power sums ``p_k(d) = sum_i d^k/dt_i^k`` along two routes.
+
+    Route one applies ``p_k(d)`` to the value of the form's entry multiset,
+    once per multiset and k (``_power_sum_images``).  Route two uses the
+    identity ``d_i [e] = [e - delta_i]``: ``p_k(d)`` maps ``[.. ni ..]`` to
+    the sum of forms with one entry lowered by k (negative entries drop
+    out).  The lowered forms' ``_FormRow`` views are summed by ``sum_of``
+    over the lcm of their denominators, with no Polynomial or dict of
+    their own.  ``memo`` (``_power_sum_memo``) is shared by a suite run;
+    a call without it makes its own.  ``witness`` is None when every
     check passes, else the first failed check as ``(k, route,
     exponents)``, the exponents being the route's first monomial in
     canonical order.
@@ -169,14 +221,14 @@ def verify_harmonicity(form: CvForm, kmax: int | None = None) -> dict:
         kmax = n - 1
     if not 0 <= kmax <= n - 1:
         raise ValueError(f"kmax {kmax} outside 0..{n - 1}")
-    value = evaluate(form)
+    expand, derived = memo or _power_sum_memo()
     checks = []
     witness = None
-    for k in range(1, kmax + 1):
-        lowered = sum_of(n, [evaluate(f) for f in _lowered_forms(form, k)])
+    for k, route_one in enumerate(_power_sum_images(form, derived, kmax), 1):
+        rows = [_FormRow(f, expand) for f in _lowered_forms(form, k)]
         first = {
-            "polynomial_route": value.symmetrized_derivative(k).first_monomial(),
-            "lowered_forms_route": lowered.first_monomial(),
+            "polynomial_route": route_one,
+            "lowered_forms_route": sum_of(n, [(row, row.denom) for row in rows]).first_monomial(),
         }
         checks.append({"k": k, **{route: exps is None for route, exps in first.items()}})
         if witness is None:
@@ -470,9 +522,11 @@ def rank_suite(n: int, degree: int | None = None) -> dict:
 
 
 def harmonic_suite(n: int, kmax: int | None = None) -> dict:
-    """``verify_harmonicity`` up to power sum kmax (default N-1) on every basis form."""
+    """``verify_harmonicity`` up to power sum kmax (default N-1) on every basis form,
+    with one ``_power_sum_memo`` for the run."""
     basis = generate_basis(n)
-    bad = [rep for bf in basis.forms if not (rep := verify_harmonicity(bf.form, kmax))["ok"]]
+    memo = _power_sum_memo()
+    bad = [rep for bf in basis.forms if not (rep := verify_harmonicity(bf.form, kmax, memo))["ok"]]
     listing = []
     for rep in bad[:10]:
         k, route, exps = rep["witness"]

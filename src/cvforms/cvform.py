@@ -8,7 +8,7 @@ normalized Vandermonde determinant ``[N-1 ... N-1]``, where entry ``ni``
 means variable ``t_i`` was differentiated ``N-1-ni`` times.
 
 This module covers the entry-level combinatorics of forms: degree, zero
-removal, the standard permutation, and type and class vectors.
+removal, and type and class vectors.
 Polynomial evaluation lives in :mod:`cvforms.laplace`.
 """
 
@@ -152,12 +152,9 @@ class CvForm:
             return 0, None
         return (-1) ** ((n - 1) * r), CvForm.trusted(tuple((e - r) % n for e in ent))
 
-    def standard_permutation(self) -> tuple[int, ...]:
-        """Ranks of the entries, ties resolved left to right: ``entry - type + 1``."""
-        return tuple(e - t + 1 for e, t in zip(self.entries, self.type_of()))
-
     def type_of(self) -> tuple[int, ...]:
-        """Componentwise ``ni - si + 1`` against the standard permutation s.
+        """Componentwise ``ni - si + 1`` against the standard permutation s,
+        the 1-based ranks of the entries with ties resolved left to right.
 
         One stable sort ranks the entries, ties left to right, and each entry
         loses its 0-based rank; ``laplace.characteristic_exponents`` reads it.

@@ -307,12 +307,13 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     """``_expand_multiset``, the last 64 entry multisets kept.
 
     A run meets few multisets: the N=6 basis has 32, N=7 63 and N=8 127.
-    ``evaluate`` meets the same ones again and again (``verify 5
-    harmonic`` evaluates 965 distinct forms 1920 times), so it reads them
-    here.  The rank proof does not: a multiset fixes the degree and is
-    never met again once its slice is ranked, so ``basis._slice_ranks``
+    ``evaluate`` reads them here (``verify 6 oracle --seed 1`` evaluates
+    559 forms of 139 multisets that are not constants).  The suites in
+    ``basis`` do not.  In the rank proof a multiset fixes the degree and
+    is never met again once its slice is ranked, so ``_slice_ranks``
     gives each slice a memo of its own, which the slice's ``_FormRow``
-    views alone keep alive.  Callers must not mutate the dict.
+    views alone keep alive; the harmonic suite keeps one memo for its
+    run (``_power_sum_memo``).  Callers must not mutate the dict.
     """
     return _expand_multiset(values, mults)
 

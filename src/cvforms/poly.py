@@ -68,6 +68,13 @@ class Polynomial:
         poly._denom = denom
         return poly
 
+    def numerators(self) -> tuple[dict[Exponents, int], int]:
+        """``(numerators, denom)`` as ``from_numerators`` takes them.
+
+        The dict is the polynomial's own, not a copy; callers must not mutate it.
+        """
+        return self._numerators, self._denom
+
     @classmethod
     def monomial(cls, nvars: int, exps: Exponents, coeff=1) -> "Polynomial":
         return cls(nvars, {tuple(exps): Fraction(coeff)})
@@ -97,7 +104,9 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return sum_of(self.nvars, (self, other))
+        if other.nvars != self.nvars:
+            raise ValueError(f"mixing {self.nvars}- and {other.nvars}-variable polynomials")
+        return sum_of(self.nvars, (self.numerators(), other.numerators()))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial.from_numerators(self.nvars, {e: -c for e, c in self._numerators.items()}, self._denom)
@@ -164,15 +173,20 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {self.canonical_text()!r})"
 
 
-def sum_of(nvars: int, polys) -> Polynomial:
-    """Sum of ``nvars``-variable polynomials, in one pass over the lcm of their denominators."""
-    polys = list(polys)
-    denom = lcm(*(p._denom for p in polys))
+def sum_of(nvars: int, parts) -> Polynomial:
+    """Sum of ``(numerators, denom)`` pairs, in one pass over the lcm of their denominators.
+
+    Each ``numerators`` is a mapping of ``nvars``-slot exponent tuples to
+    ints over its positive ``denom``, such as a ``Polynomial``'s own or a
+    ``laplace._FormRow`` view; only its ``items()`` are read, so a view
+    is summed with no copy.
+    """
+    parts = list(parts)
+    denom = lcm(*(d for _, d in parts))
     acc: dict[Exponents, int] = {}
-    for p in polys:
-        if p.nvars != nvars:
-            raise ValueError(f"mixing {nvars}- and {p.nvars}-variable polynomials")
-        scale = denom // p._denom
-        for e, c in p._numerators.items():
-            acc[e] = acc.get(e, 0) + c * scale
+    get = acc.get
+    for numerators, d in parts:
+        scale = denom // d
+        for e, c in numerators.items():
+            acc[e] = get(e, 0) + c * scale
     return Polynomial.from_numerators(nvars, {e: c for e, c in acc.items() if c}, denom)

@@ -5,7 +5,8 @@ that the O(N) kernel ``laplace.characteristic_exponents`` is held to,
 ``leading_rowblock`` reads the largest row-block of a class with no
 expansion, to check the row-block order against ``expand_rowblocks``, and
 ``sort_entries`` then ``build_decoding_table`` is the validated chain
-that ``laplace._sorted_table`` replaces.
+that ``laplace._sorted_table`` replaces.  ``standard_permutation`` reads
+the ranks of a form's entries back off ``CvForm.type_of``.
 """
 
 from cvforms.cvform import CvForm, permutation_sign, valid_class
@@ -21,6 +22,11 @@ def sort_entries(form: CvForm) -> tuple[CvForm, tuple[int, ...], int]:
     order = sorted(range(form.N), key=lambda i: (form.entries[i], i))
     perm = tuple(i + 1 for i in order)
     return CvForm(form.entries[i] for i in order), perm, permutation_sign(perm)
+
+
+def standard_permutation(form: CvForm) -> tuple[int, ...]:
+    """Ranks of the entries, ties resolved left to right: ``entry - type + 1``."""
+    return tuple(e - t + 1 for e, t in zip(form.entries, form.type_of()))
 
 
 def leading_rowblock(class_entries) -> RowBlock:

@@ -181,7 +181,71 @@ class TestDescentWordFiling:
         assert len(generate_basis(12, 2).forms) == q_factorial(12)[2]
 
 
+def _per_form_images(form: CvForm, kmax: int) -> list:
+    """Route one as it ran per form: ``p_k(d)`` applied to the form's own value.
+
+    The slow reference for ``basis._power_sum_images``, which applies
+    ``p_k(d)`` once per entry multiset and renames the image into the
+    form's variables.
+    """
+    value = evaluate(form)
+    return [value.symmetrized_derivative(k).first_monomial() for k in range(1, kmax + 1)]
+
+
 class TestHarmonicity:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_route_one_renames_the_image_of_a_multiset(self, n, monkeypatch):
+        # the multiset of the form under test gets t1^N*t2^(N-1)*...*tN added
+        # to its expansion, a monomial of no value's degree that no p_k(d)
+        # with k < N kills; evaluate and both routes read the planted one
+        plant = {}
+
+        def planted(values, mults):
+            numerators, denom = laplace._expand_multiset(values, mults)
+            if (values, mults) == plant.get("multiset"):
+                numerators = {**numerators, tuple(range(n, 0, -1)): 1}
+            return numerators, denom
+
+        monkeypatch.setattr(basis_module, "_expand_multiset", planted)
+        monkeypatch.setattr(laplace, "_block_expansion", planted)
+        fired = 0
+        for entries in itertools.product(range(n), repeat=n):
+            form = CvForm(entries)
+            _, table = laplace._sorted_table(form)
+            plant["multiset"] = None if table is None else (table.values, table.multiplicities)
+            _, derived = basis_module._power_sum_memo()
+            images = basis_module._power_sum_images(form, derived, n - 1)
+            assert images == _per_form_images(form, n - 1), form
+            if table is not None and n > 1:
+                assert None not in images, form
+                assert verify_harmonicity(form)["witness"] == (1, "polynomial_route", images[0]), form
+                fired += 1
+        # every form that zero removal leaves with a representative; N = 1 has no k
+        reduced = (CvForm(e).remove_zeros()[1] for e in itertools.product(range(n), repeat=n))
+        assert fired == (sum(f is not None for f in reduced) if n > 1 else 0)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_a_partial_derivative_lowers_one_entry(self, n):
+        # d_i [e] = [e - delta_i], the identity route two rests on; an entry
+        # below 0 leaves the zero form, as a constant column differentiates to 0
+        zeros = 0
+        for entries in itertools.product(range(n), repeat=n):
+            value = evaluate(CvForm(entries))
+            for i, e in enumerate(entries):
+                partial = {
+                    exps[:i] + (exps[i] - 1,) + exps[i + 1:]: exps[i] * c
+                    for exps, c in value._numerators.items()
+                    if exps[i]
+                }
+                derivative = Polynomial.from_numerators(n, partial, value._denom)
+                if e:
+                    assert derivative == evaluate(CvForm(entries[:i] + (e - 1,) + entries[i + 1:])), (entries, i)
+                else:
+                    assert derivative == Polynomial(n) and not partial, (entries, i)
+                    zeros += 1
+        # each of the N slots is 0 in N^(N-1) forms
+        assert zeros == n ** n
+
     def test_all_forms_at_four(self):
         for bf in generate_basis(4).forms:
             report = verify_harmonicity(bf.form)

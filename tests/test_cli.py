@@ -324,25 +324,29 @@ class TestVerify:
         ]
 
     def test_harmonic_broken_kernel_names_a_witness(self, capsys, monkeypatch):
-        real = basis.evaluate
+        real = basis._expand_multiset
 
-        def flipped(form):
-            # [2 2 1] is -1/2*t1^2 + t1*t3 + 1/2*t2^2 - t2*t3; flip the t1^2 coefficient
-            value = real(form)
-            if form.entries == (2, 2, 1):
-                value = value - Polynomial.monomial(3, (2, 0, 0), 2 * value.terms[(2, 0, 0)])
-            return value
+        def flipped(values, mults):
+            # the representative [1 2 2] of the multiset {1, 2, 2} is
+            # t1*t2 - t1*t3 - 1/2*t2^2 + 1/2*t3^2; flip its t2^2 coefficient
+            numerators, denom = real(values, mults)
+            if (values, mults) == ((1, 2), (1, 2)):
+                numerators = {**numerators, (0, 2, 0): -numerators[(0, 2, 0)]}
+            return numerators, denom
 
-        monkeypatch.setattr(basis, "evaluate", flipped)
+        monkeypatch.setattr(basis, "_expand_multiset", flipped)
         code, out, err = run(["verify", "3", "harmonic"], capsys)
         assert code == 1
-        # [2 2 1] is a lowered form of [2 2 2] at k=1; the flipped value of
-        # [2 2 1] has power-sum derivative 2*t1
+        # renamed, the flip adds t1^2 to the value of [2 2 1] (sign +1), -t1^2
+        # to [2 1 2] (sign -1) and t2^2 to [1 2 2]: route one sees 2*t1 and
+        # -2*t1 on the two basis forms of the multiset, and route two the
+        # sum t2^2 on [2 2 2], whose lowered forms at k=1 are those three
         witnesses = [
-            "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t1^2",
+            "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t2^2",
             "failure: [2 2 1] k=1 polynomial_route first nonzero at t1",
+            "failure: [2 1 2] k=1 polynomial_route first nonzero at t1",
         ]
-        assert out.splitlines()[-4:] == ["failures: 2", *witnesses, "result: FAIL"]
+        assert out.splitlines()[-5:] == ["failures: 3", *witnesses, "result: FAIL"]
         assert err == ""
         args = cli.build_parser().parse_args(["verify", "3", "harmonic"])
         assert cli.cmd_verify(args)["_listing"] == witnesses

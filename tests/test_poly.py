@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic."""
 
+import operator
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -48,8 +50,11 @@ class TestArithmetic:
         assert not (x + y - x - y)
 
     def test_incompatible_sizes(self):
-        with pytest.raises(ValueError):
-            Polynomial(2) + Polynomial(3)
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="mixing 2- and 3-variable"):
+                op(p_x(), Polynomial(3))
+            with pytest.raises(ValueError, match="mixing 3- and 2-variable"):
+                op(Polynomial(3), p_x())
 
     def test_no_multiplication(self):
         # products are formed inside the integer kernels, never on Polynomial
@@ -103,7 +108,7 @@ def _assert_clean(p):
 class TestComputedResults:
     def test_cancellation_stores_no_terms(self):
         p = Polynomial.monomial(2, (2, 0), Fraction(1, 3)) - p_y()
-        for zero in (p - p, p + (-p), sum_of(2, [p, -p]), p.symmetrized_derivative(3)):
+        for zero in (p - p, p + (-p), sum_of(2, [p.numerators(), (-p).numerators()]), p.symmetrized_derivative(3)):
             assert not zero
             assert zero.terms == {}
 
@@ -125,7 +130,7 @@ class TestComputedResults:
     @settings(max_examples=60, deadline=None)
     @given(small_polys, small_polys)
     def test_results_hold_nonzero_fractions(self, a, b):
-        for p in (a + b, a - b, sum_of(3, [a, b, a]), -a, a.symmetrized_derivative(2)):
+        for p in (a + b, a - b, sum_of(3, [q.numerators() for q in (a, b, a)]), -a, a.symmetrized_derivative(2)):
             _assert_clean(p)
 
     def test_json_of_computed_result_unchanged(self):
@@ -259,11 +264,16 @@ class TestRepresentation:
         assert Polynomial(2).first_monomial() is None
 
     def test_sum_of(self):
-        x, third_y = p_x(), Polynomial.monomial(2, (0, 1), Fraction(1, 3))
-        assert sum_of(2, [x, third_y, -x]) == third_y
+        # (numerators, denom) pairs: t1 + 1/3*t2 - t1, the last over 2
+        parts = [({(1, 0): 1}, 1), ({(0, 1): 1}, 3), ({(1, 0): -2}, 2)]
+        third = Polynomial.monomial(2, (0, 1), Fraction(1, 3))
+        assert sum_of(2, parts) == third
         assert sum_of(2, []) == Polynomial(2)
-        with pytest.raises(ValueError, match="mixing 2- and 3-variable"):
-            sum_of(2, [x, Polynomial(3)])
+        # only items() is read, so a read-only mapping sums as a dict does
+        assert sum_of(2, [(MappingProxyType({(1, 1): 3}), 6)]) == Polynomial.monomial(2, (1, 1), Fraction(1, 2))
+        # numerators() is the pair from_numerators takes, shared rather than copied
+        numerators, denom = third.numerators()
+        assert Polynomial.from_numerators(2, numerators, denom) == third and numerators is third.numerators()[0]
 
 
 def _frozen_add(a: dict, b: dict) -> dict:
