@@ -153,14 +153,17 @@ def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
 
 
 def _power_sum_memo():
-    """One run's reads of form values: ``(expand, derived)``.
+    """One run's two routes, each once per entry multiset and k: ``(derived, lowered)``.
 
-    ``expand`` is ``_expand_multiset`` memoized for the run, the one name
-    through which both routes of ``verify_harmonicity`` read values.
-    ``derived(values, mults, k)`` is ``p_k(d)`` of the multiset's sorted
-    zero-free representative, applied once per multiset and k by
-    ``Polynomial.symmetrized_derivative``: its block-order ``(numerators,
-    D)``, or None when it is zero.  Both memos go with the run.
+    Both read form values through ``expand``, ``_expand_multiset``
+    memoized for the run.  ``derived(values, mults, k)`` is route one,
+    ``p_k(d)`` of the multiset's sorted zero-free representative, applied
+    by ``Polynomial.symmetrized_derivative``: its block-order
+    ``(numerators, D)``, or None when it is zero.  ``lowered(entries, k)``
+    is route two on sorted entries: their lowered forms
+    (``_lowered_forms``), read as ``_FormRow`` views and added by
+    ``sum_of``; the sum's numerators, or None when it is zero.  All three
+    memos go with the run.
     """
     expand = cache(_expand_multiset)
 
@@ -169,7 +172,13 @@ def _power_sum_memo():
         image = Polynomial.from_numerators(sum(mults), *expand(values, mults)).symmetrized_derivative(k)
         return image.numerators() if image else None
 
-    return expand, derived
+    @cache
+    def lowered(entries, k):
+        rows = [_FormRow(f, expand) for f in _lowered_forms(CvForm.trusted(entries), k)]
+        image = sum_of(len(entries), [(row, row.denom) for row in rows])
+        return image.numerators()[0] if image else None
+
+    return derived, lowered
 
 
 def _power_sum_images(form: CvForm, derived, kmax: int) -> list[tuple[int, ...] | None]:
@@ -201,19 +210,49 @@ def _power_sum_images(form: CvForm, derived, kmax: int) -> list[tuple[int, ...] 
     return firsts
 
 
+def _lowered_sum_images(form: CvForm, lowered, kmax: int) -> list[tuple[int, ...] | None]:
+    """Route two: for k = 1..kmax, the first monomial of ``R_k(e) = sum_i [e - k delta_i]``
+    in canonical order, or None where it is zero.
+
+    Permuting the columns of the determinant gives ``[pi.e](t) =
+    sgn(pi) [e](t o pi)`` for any entries e in 0..N-1.  Lowering commutes
+    with pi: ``pi.e - k delta_i = pi.(e - k delta_{pi^-1(i)})``, and a
+    negative entry drops out on both sides.  So ``R_k(pi.e) = sgn(pi)
+    R_k(e) o pi``: the form's image is the image of its stable-sorted
+    entries with the variables renamed, and zero exactly when that is.
+    ``lowered`` sums it once per sorted entries and k, and a nonzero
+    image is renamed into the form's own variables through the inverse
+    of the stable order.  The representative is the plain sort, not
+    route one's zero-free one: zero removal rotates the values, and the
+    rotation does not commute with lowering.
+    """
+    ent = form.entries
+    rep = tuple(sorted(ent))
+    firsts = []
+    for k in range(1, kmax + 1):
+        image = lowered(rep, k)
+        if image is not None and rep != ent:
+            # position j of the sorted entries is the form's variable order[j],
+            # so one itemgetter of the inverse order reads a key in the form's variables
+            order = sorted(range(len(ent)), key=ent.__getitem__)
+            image = map(itemgetter(*sorted(range(len(ent)), key=order.__getitem__)), image)
+        firsts.append(None if image is None else min(image, key=_term_key))
+    return firsts
+
+
 def verify_harmonicity(form: CvForm, kmax: int | None = None, memo=None) -> dict:
     """Check annihilation by the power sums ``p_k(d) = sum_i d^k/dt_i^k`` along two routes.
 
-    Route one applies ``p_k(d)`` to the value of the form's entry multiset,
-    once per multiset and k (``_power_sum_images``).  Route two uses the
-    identity ``d_i [e] = [e - delta_i]``: ``p_k(d)`` maps ``[.. ni ..]`` to
-    the sum of forms with one entry lowered by k (negative entries drop
-    out).  The lowered forms' ``_FormRow`` views are summed by ``sum_of``
-    over the lcm of their denominators, with no Polynomial or dict of
-    their own.  ``memo`` (``_power_sum_memo``) is shared by a suite run;
-    a call without it makes its own.  ``witness`` is None when every
-    check passes, else the first failed check as ``(k, route,
-    exponents)``, the exponents being the route's first monomial in
+    Route one applies ``p_k(d)`` to the value of the form's entry multiset
+    (``_power_sum_images``).  Route two uses the identity ``d_i [e] = [e -
+    delta_i]``: ``p_k(d)`` maps ``[.. ni ..]`` to the sum of forms with
+    one entry lowered by k (negative entries drop out), summed for the
+    form's sorted entries (``_lowered_sum_images``).  Each route runs
+    once per multiset and k, with operators of its own.  ``memo``
+    (``_power_sum_memo``) is shared by a suite run; a call without it
+    makes its own.  ``witness`` is None when every check passes, else
+    the first failed check as ``(k, route, exponents)``, the exponents
+    being the route's first monomial in the form's variables, in
     canonical order.
     """
     n = form.N
@@ -221,15 +260,12 @@ def verify_harmonicity(form: CvForm, kmax: int | None = None, memo=None) -> dict
         kmax = n - 1
     if not 0 <= kmax <= n - 1:
         raise ValueError(f"kmax {kmax} outside 0..{n - 1}")
-    expand, derived = memo or _power_sum_memo()
+    derived, lowered = memo or _power_sum_memo()
     checks = []
     witness = None
-    for k, route_one in enumerate(_power_sum_images(form, derived, kmax), 1):
-        rows = [_FormRow(f, expand) for f in _lowered_forms(form, k)]
-        first = {
-            "polynomial_route": route_one,
-            "lowered_forms_route": sum_of(n, [(row, row.denom) for row in rows]).first_monomial(),
-        }
+    routes = zip(_power_sum_images(form, derived, kmax), _lowered_sum_images(form, lowered, kmax))
+    for k, (route_one, route_two) in enumerate(routes, 1):
+        first = {"polynomial_route": route_one, "lowered_forms_route": route_two}
         checks.append({"k": k, **{route: exps is None for route, exps in first.items()}})
         if witness is None:
             witness = next(((k, route, exps) for route, exps in first.items() if exps is not None), None)

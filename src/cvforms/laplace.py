@@ -302,18 +302,21 @@ def _expand_multiset(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     return acc, common
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
-    """``_expand_multiset``, the last 64 entry multisets kept.
+    """``_expand_multiset``, the last 256 entry multisets kept.
 
     A run meets few multisets: the N=6 basis has 32, N=7 63 and N=8 127.
     ``evaluate`` reads them here (``verify 6 oracle --seed 1`` evaluates
-    559 forms of 139 multisets that are not constants).  The suites in
-    ``basis`` do not.  In the rank proof a multiset fixes the degree and
-    is never met again once its slice is ranked, so ``_slice_ranks``
-    gives each slice a memo of its own, which the slice's ``_FormRow``
-    views alone keep alive; the harmonic suite keeps one memo for its
-    run (``_power_sum_memo``).  Callers must not mutate the dict.
+    559 forms of 139 multisets that are not constants).  A zero-free
+    sorted table takes N entries from 1..N-1, so N=6 has C(10, 6) = 210
+    of them: all fit, and a run at N <= 6 builds each expansion once.
+    The suites in ``basis`` do not.  In the rank proof a multiset fixes
+    the degree and is never met again once its slice is ranked, so
+    ``_slice_ranks`` gives each slice a memo of its own, which the
+    slice's ``_FormRow`` views alone keep alive; the harmonic suite
+    keeps one memo for its run (``_power_sum_memo``).  Callers must not
+    mutate the dict.
     """
     return _expand_multiset(values, mults)
 

@@ -38,9 +38,9 @@ from cvforms.basis import (
     verify_harmonicity,
     verify_independence,
 )
-from cvforms.cvform import CvForm
+from cvforms.cvform import CvForm, permutation_sign
 from cvforms.laplace import _FormRow, _integer_value, evaluate
-from cvforms.poly import Polynomial
+from cvforms.poly import Polynomial, sum_of
 from cvforms.ribbon import (
     Ribbon,
     SkewTableau,
@@ -192,6 +192,36 @@ def _per_form_images(form: CvForm, kmax: int) -> list:
     return [value.symmetrized_derivative(k).first_monomial() for k in range(1, kmax + 1)]
 
 
+def _per_form_sums(form: CvForm, kmax: int) -> list:
+    """Route two as it ran per form: the form's own lowered forms, summed.
+
+    The slow reference for ``basis._lowered_sum_images``, which sums the
+    lowered forms of the sorted entries once per run and renames the
+    image into the form's variables.
+    """
+    firsts = []
+    for k in range(1, kmax + 1):
+        rows = [_FormRow(f) for f in basis_module._lowered_forms(form, k)]
+        firsts.append(sum_of(form.N, [(row, row.denom) for row in rows]).first_monomial())
+    return firsts
+
+
+def _alternating_plant(mults) -> dict:
+    # t1^N*t2^(N-1)*...*tN, alternated over the variables of each block of
+    # equal entries in block order: antisymmetric there, as a form's value is
+    exps = range(sum(mults), 0, -1)
+    terms, start = {(): 1}, 0
+    for m in mults:
+        block = exps[start:start + m]
+        terms = {
+            head + tuple(block[i] for i in p): c * permutation_sign(p)
+            for head, c in terms.items()
+            for p in itertools.permutations(range(m))
+        }
+        start += m
+    return terms
+
+
 class TestHarmonicity:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_route_one_renames_the_image_of_a_multiset(self, n, monkeypatch):
@@ -213,7 +243,7 @@ class TestHarmonicity:
             form = CvForm(entries)
             _, table = laplace._sorted_table(form)
             plant["multiset"] = None if table is None else (table.values, table.multiplicities)
-            _, derived = basis_module._power_sum_memo()
+            derived, _ = basis_module._power_sum_memo()
             images = basis_module._power_sum_images(form, derived, n - 1)
             assert images == _per_form_images(form, n - 1), form
             if table is not None and n > 1:
@@ -223,6 +253,30 @@ class TestHarmonicity:
         # every form that zero removal leaves with a representative; N = 1 has no k
         reduced = (CvForm(e).remove_zeros()[1] for e in itertools.product(range(n), repeat=n))
         assert fired == (sum(f is not None for f in reduced) if n > 1 else 0)
+
+    # renamed: the (form, k) pairs with unsorted entries and a nonzero image;
+    # at N <= 2 every lowered form is a scalar, which carries no plant
+    @pytest.mark.parametrize("n, renamed", [(1, 0), (2, 0), (3, 4), (4, 163)])
+    def test_route_two_renames_the_image_of_sorted_entries(self, n, renamed, monkeypatch):
+        # every multiset gets an alternating plant of no value's degree that
+        # no p_k(d) with k < N kills; it keeps [pi.e](t) = sgn(pi) [e](t o pi),
+        # the identity route two rests on, so the memoized sums of one run,
+        # renamed, must equal each form's own sum of its lowered forms
+        def planted(values, mults):
+            numerators, denom = laplace._expand_multiset(values, mults)
+            return {**numerators, **_alternating_plant(mults)}, denom
+
+        monkeypatch.setattr(basis_module, "_expand_multiset", planted)
+        monkeypatch.setattr(laplace, "_block_expansion", planted)
+        _, lowered = basis_module._power_sum_memo()
+        fired = 0
+        for entries in itertools.product(range(n), repeat=n):
+            form = CvForm(entries)
+            images = basis_module._lowered_sum_images(form, lowered, n - 1)
+            assert images == _per_form_sums(form, n - 1), form
+            if list(entries) != sorted(entries):
+                fired += sum(image is not None for image in images)
+        assert fired == renamed
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_a_partial_derivative_lowers_one_entry(self, n):
@@ -773,6 +827,13 @@ class TestSuites:
         assert sampled["checks"]["source"] == "6 seeded samples (seed 1)" and sampled["checks"]["forms"] == 6
         assert capsys.readouterr() == ("", "")
 
+    def test_oracle_suite_expands_each_multiset_once(self):
+        # the oracle6 input meets 139 multisets 559 times; none is evicted and rebuilt
+        laplace._block_expansion.cache_clear()
+        assert oracle_suite(6, 1000, 1)["ok"]
+        info = laplace._block_expansion.cache_info()
+        assert info.misses == info.currsize == 139
+
     def test_rank(self):
         checks = {"forms": 6, "rank": 6, "mode": "full expansion"}
         assert rank_suite(3) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
@@ -787,7 +848,8 @@ class TestSuites:
         real = basis_module._lowered_forms
         monkeypatch.setattr(basis_module, "_lowered_forms", lambda form, k: real(form, k)[:-1])
         report = harmonic_suite(3, 1)
-        assert not report["ok"] and report["checks"]["failures"] == 5
+        # the plant drops the last lowered form of each sorted representative
+        assert not report["ok"] and report["checks"]["failures"] == 3
         assert report["listing"][0] == "failure: [2 2 2] k=1 lowered_forms_route first nonzero at t1^2"
 
     def test_flip(self):
