@@ -24,7 +24,6 @@ from .laplace import (
     _expand_multiset,
     _FormRow,
     _order_key,
-    _sorted_table,
     characteristic_exponents,
     derivative_oracle,
     evaluate,
@@ -153,119 +152,72 @@ def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
 
 
 def _power_sum_memo():
-    """One run's two routes, each once per entry multiset and k: ``(derived, lowered)``.
+    """One run's ``images(rep, k) -> (route_one, route_two)``, once per sorted entries and k.
 
-    Both read form values through ``expand``, ``_expand_multiset``
-    memoized for the run.  ``derived(values, mults, k)`` is route one,
-    ``p_k(d)`` of the multiset's sorted zero-free representative, applied
-    by ``Polynomial.symmetrized_derivative``: its block-order
-    ``(numerators, D)``, or None when it is zero.  ``lowered(entries, k)``
-    is route two on sorted entries: their lowered forms
-    (``_lowered_forms``), read as ``_FormRow`` views and added by
-    ``sum_of``; the sum's numerators, or None when it is zero.  All three
-    memos go with the run.
+    Each image is its numerators in ``rep``'s variables, or None when it
+    is zero.  Route one applies ``Polynomial.symmetrized_derivative`` to
+    the ``_FormRow`` view of ``[rep]``, copied into a dict once; route two
+    adds the views of the lowered forms (``_lowered_forms``) by
+    ``sum_of``.  Every view reads ``expand``, ``_expand_multiset``
+    memoized for the run.
     """
     expand = cache(_expand_multiset)
 
     @cache
-    def derived(values, mults, k):
-        image = Polynomial.from_numerators(sum(mults), *expand(values, mults)).symmetrized_derivative(k)
-        return image.numerators() if image else None
+    def images(rep, k):
+        form = CvForm.trusted(rep)
+        row = _FormRow(form, expand)
+        derived = Polynomial.from_numerators(form.N, dict(row.items()), row.denom).symmetrized_derivative(k)
+        rows = [_FormRow(f, expand) for f in _lowered_forms(form, k)]
+        lowered = sum_of(form.N, [(r, r.denom) for r in rows])
+        return tuple(image.numerators()[0] if image else None for image in (derived, lowered))
 
-    @cache
-    def lowered(entries, k):
-        rows = [_FormRow(f, expand) for f in _lowered_forms(CvForm.trusted(entries), k)]
-        image = sum_of(len(entries), [(row, row.denom) for row in rows])
-        return image.numerators()[0] if image else None
-
-    return derived, lowered
-
-
-def _power_sum_images(form: CvForm, derived, kmax: int) -> list[tuple[int, ...] | None]:
-    """Route one: for k = 1..kmax, the first monomial of ``p_k(d) evaluate(form)``
-    in canonical order, or None where it is zero.
-
-    After zero removal and a stable sort, ``evaluate(form)`` is a sign
-    times the value of the sorted zero-free representative of its entry
-    multiset with the variables renamed: the column-permutation identity
-    of determinants, which ``_FormRow`` reads.  ``p_k(d) = sum_i
-    d^k/dt_i^k`` is symmetric in the variables, so it commutes with the
-    renaming: ``p_k(d) evaluate(form)`` is the same sign times the renamed
-    ``p_k(d)`` of the representative.  It is zero exactly when that is,
-    and its monomials are the renamed ones.  So the representative's
-    image, ``derived`` once per multiset and k, decides the check, and a
-    nonzero image is renamed into the form's own variables through the
-    form's ``_FormRow`` key map.  A scalar form has no representative; it
-    is a constant, which every ``p_k(d)`` kills.  A check on the form's
-    own value is no less blind to a sign or renaming fault, so nothing
-    is lost.
-    """
-    _, table = _sorted_table(form)
-    if table is None:
-        return [None] * kmax
-    firsts = []
-    for k in range(1, kmax + 1):
-        image = derived(table.values, table.multiplicities, k)
-        firsts.append(None if image is None else min(_FormRow(form, lambda *_: image), key=_term_key))
-    return firsts
-
-
-def _lowered_sum_images(form: CvForm, lowered, kmax: int) -> list[tuple[int, ...] | None]:
-    """Route two: for k = 1..kmax, the first monomial of ``R_k(e) = sum_i [e - k delta_i]``
-    in canonical order, or None where it is zero.
-
-    Permuting the columns of the determinant gives ``[pi.e](t) =
-    sgn(pi) [e](t o pi)`` for any entries e in 0..N-1.  Lowering commutes
-    with pi: ``pi.e - k delta_i = pi.(e - k delta_{pi^-1(i)})``, and a
-    negative entry drops out on both sides.  So ``R_k(pi.e) = sgn(pi)
-    R_k(e) o pi``: the form's image is the image of its stable-sorted
-    entries with the variables renamed, and zero exactly when that is.
-    ``lowered`` sums it once per sorted entries and k, and a nonzero
-    image is renamed into the form's own variables through the inverse
-    of the stable order.  The representative is the plain sort, not
-    route one's zero-free one: zero removal rotates the values, and the
-    rotation does not commute with lowering.
-    """
-    ent = form.entries
-    rep = tuple(sorted(ent))
-    firsts = []
-    for k in range(1, kmax + 1):
-        image = lowered(rep, k)
-        if image is not None and rep != ent:
-            # position j of the sorted entries is the form's variable order[j],
-            # so one itemgetter of the inverse order reads a key in the form's variables
-            order = sorted(range(len(ent)), key=ent.__getitem__)
-            image = map(itemgetter(*sorted(range(len(ent)), key=order.__getitem__)), image)
-        firsts.append(None if image is None else min(image, key=_term_key))
-    return firsts
+    return images
 
 
 def verify_harmonicity(form: CvForm, kmax: int | None = None, memo=None) -> dict:
     """Check annihilation by the power sums ``p_k(d) = sum_i d^k/dt_i^k`` along two routes.
 
-    Route one applies ``p_k(d)`` to the value of the form's entry multiset
-    (``_power_sum_images``).  Route two uses the identity ``d_i [e] = [e -
-    delta_i]``: ``p_k(d)`` maps ``[.. ni ..]`` to the sum of forms with
-    one entry lowered by k (negative entries drop out), summed for the
-    form's sorted entries (``_lowered_sum_images``).  Each route runs
-    once per multiset and k, with operators of its own.  ``memo``
-    (``_power_sum_memo``) is shared by a suite run; a call without it
-    makes its own.  ``witness`` is None when every check passes, else
-    the first failed check as ``(k, route, exponents)``, the exponents
-    being the route's first monomial in the form's variables, in
-    canonical order.
+    Route one applies ``p_k(d)`` to the value.  Route two uses the
+    identity ``d_i [e] = [e - delta_i]``: ``p_k(d)`` maps ``[.. ni ..]``
+    to the sum of the forms with one entry lowered by k (negative entries
+    drop out).  The routes keep operators of their own, but run on one
+    representative, the sorted entries ``rep``.  Permuting columns gives
+    ``[pi.e](t) = sgn(pi) [e](t o pi)``; ``p_k(d)`` is symmetric in the
+    variables, and lowering commutes with pi (``pi.e - k delta_i = pi.(e
+    - k delta_{pi^-1(i)})``).  So each image of the form is a sign times
+    that of ``rep`` with the variables renamed, zero exactly when it is.
+    ``memo`` (``_power_sum_memo``, shared by a suite run; a call without
+    it makes its own) computes both once per ``rep`` and k, and a nonzero
+    image is renamed by the inverse of the stable order.  The
+    ``_FormRow`` view of ``rep`` applies zero removal as it reads the
+    value, so route one needs no zero-free representative.
+
+    ``witness`` is None when every check passes, else the first failed
+    check as ``(k, route, exponents)``, the exponents being the route's
+    first monomial in the form's variables, in canonical order.
     """
     n = form.N
     if kmax is None:
         kmax = n - 1
     if not 0 <= kmax <= n - 1:
         raise ValueError(f"kmax {kmax} outside 0..{n - 1}")
-    derived, lowered = memo or _power_sum_memo()
+    images = memo or _power_sum_memo()
+    ent = form.entries
+    rep = tuple(sorted(ent))
+    rename = None
+    if rep != ent:
+        # position j of rep is the form's variable order[j], so one
+        # itemgetter of the inverse order reads a key in the form's variables
+        order = sorted(range(n), key=ent.__getitem__)
+        rename = itemgetter(*sorted(range(n), key=order.__getitem__))
     checks = []
     witness = None
-    routes = zip(_power_sum_images(form, derived, kmax), _lowered_sum_images(form, lowered, kmax))
-    for k, (route_one, route_two) in enumerate(routes, 1):
-        first = {"polynomial_route": route_one, "lowered_forms_route": route_two}
+    for k in range(1, kmax + 1):
+        first = {
+            route: None if image is None else min(image if rename is None else map(rename, image), key=_term_key)
+            for route, image in zip(("polynomial_route", "lowered_forms_route"), images(rep, k))
+        }
         checks.append({"k": k, **{route: exps is None for route, exps in first.items()}})
         if witness is None:
             witness = next(((k, route, exps) for route, exps in first.items() if exps is not None), None)

@@ -47,9 +47,9 @@ from .ribbon import (
 
 DEFAULT_SEED = 1729
 
-# the largest N that ribbon, basis and verify accept: the full listing of
-# 2^(N-1) ribbons (32 768 at N=16) and a basis of N! forms grow too fast
-# for more, and a larger N exits 2 before any work
+# the largest N that ribbon, basis and verify accept, and the longest tableaux
+# class: 2^(N-1) ribbons (32 768 at N=16), a basis of N! forms and a ribbon's
+# tableaux grow too fast for more, and a larger N exits 2 before any work
 MAX_N = 16
 
 # the oracle suite's largest N: derivative_oracle first expands the N! Vandermonde terms
@@ -217,7 +217,9 @@ def text_ribbon(record: dict, args) -> None:
 
 
 def cmd_tableaux(args) -> dict:
-    rib = class_to_ribbon(_parse_vector(args.cls))
+    cls = _parse_vector(args.cls)
+    _check_size(len(cls))
+    rib = class_to_ribbon(cls)
     tableaux = enumerate_tableaux(rib)
     return {
         "schema": "cvforms.tableaux/1",

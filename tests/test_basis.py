@@ -184,9 +184,9 @@ class TestDescentWordFiling:
 def _per_form_images(form: CvForm, kmax: int) -> list:
     """Route one as it ran per form: ``p_k(d)`` applied to the form's own value.
 
-    The slow reference for ``basis._power_sum_images``, which applies
-    ``p_k(d)`` once per entry multiset and renames the image into the
-    form's variables.
+    The slow reference for route one of ``basis._power_sum_memo``, which
+    applies ``p_k(d)`` once per sorted entries and k, and for the renaming
+    of that image into the form's variables in ``verify_harmonicity``.
     """
     value = evaluate(form)
     return [value.symmetrized_derivative(k).first_monomial() for k in range(1, kmax + 1)]
@@ -195,14 +195,33 @@ def _per_form_images(form: CvForm, kmax: int) -> list:
 def _per_form_sums(form: CvForm, kmax: int) -> list:
     """Route two as it ran per form: the form's own lowered forms, summed.
 
-    The slow reference for ``basis._lowered_sum_images``, which sums the
-    lowered forms of the sorted entries once per run and renames the
-    image into the form's variables.
+    The slow reference for route two of ``basis._power_sum_memo``, which
+    sums the lowered forms of the sorted entries once per run, and for the
+    renaming of that image into the form's variables in ``verify_harmonicity``.
     """
     firsts = []
     for k in range(1, kmax + 1):
         rows = [_FormRow(f) for f in basis_module._lowered_forms(form, k)]
         firsts.append(sum_of(form.N, [(row, row.denom) for row in rows]).first_monomial())
+    return firsts
+
+
+def _renamed_firsts(form: CvForm, images, route: str) -> list:
+    """For k = 1..N-1, ``route``'s first monomial as ``verify_harmonicity``
+    renames it from ``images`` into the form's variables, None where it is zero.
+
+    The memo handed over passes on that route's image at one k only, so a
+    witness names exactly that image.
+    """
+    index = ("polynomial_route", "lowered_forms_route").index(route)
+    firsts = []
+    for k in range(1, form.N):
+        def only(rep, j):
+            return tuple(image if (r, j) == (index, k) else None for r, image in enumerate(images(rep, j)))
+
+        witness = verify_harmonicity(form, memo=only)["witness"]
+        assert witness is None or witness[:2] == (k, route), (form, witness)
+        firsts.append(witness[2] if witness else None)
     return firsts
 
 
@@ -223,60 +242,55 @@ def _alternating_plant(mults) -> dict:
 
 
 class TestHarmonicity:
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_route_one_renames_the_image_of_a_multiset(self, n, monkeypatch):
-        # the multiset of the form under test gets t1^N*t2^(N-1)*...*tN added
-        # to its expansion, a monomial of no value's degree that no p_k(d)
-        # with k < N kills; evaluate and both routes read the planted one
+    # fired, route one: the forms whose image shows the plant at every k,
+    # which must be every form that zero removal leaves with a representative;
+    # route two: the (form, k) pairs with unsorted entries and a nonzero
+    # image, so the renaming is exercised (at N <= 2 every lowered form is a
+    # scalar, which carries no plant)
+    @pytest.mark.parametrize(
+        "route, n, fired",
+        [("polynomial_route", n, fired) for n, fired in [(1, 0), (2, 1), (3, 11), (4, 125)]]
+        + [("lowered_forms_route", n, fired) for n, fired in [(1, 0), (2, 0), (3, 4), (4, 163)]],
+    )
+    def test_each_route_renames_the_image_of_sorted_entries(self, route, n, fired, monkeypatch):
+        # route one: the multiset of the form under test gets t1^N*t2^(N-1)*...*tN
+        # added to its expansion, a monomial of no value's degree that no p_k(d)
+        # with k < N kills; the form and its sorted entries read the same one.
+        # Route two: every multiset gets that monomial alternated, which keeps
+        # [pi.e](t) = sgn(pi) [e](t o pi), the identity both routes rest on.
+        # Either way the memoized image of the sorted entries, renamed, must
+        # equal the route's image computed on the form itself
         plant = {}
 
         def planted(values, mults):
             numerators, denom = laplace._expand_multiset(values, mults)
+            if route == "lowered_forms_route":
+                return {**numerators, **_alternating_plant(mults)}, denom
             if (values, mults) == plant.get("multiset"):
                 numerators = {**numerators, tuple(range(n, 0, -1)): 1}
             return numerators, denom
 
         monkeypatch.setattr(basis_module, "_expand_multiset", planted)
         monkeypatch.setattr(laplace, "_block_expansion", planted)
-        fired = 0
+        reference = _per_form_images if route == "polynomial_route" else _per_form_sums
+        images = basis_module._power_sum_memo()
+        seen = 0
         for entries in itertools.product(range(n), repeat=n):
             form = CvForm(entries)
-            _, table = laplace._sorted_table(form)
-            plant["multiset"] = None if table is None else (table.values, table.multiplicities)
-            derived, _ = basis_module._power_sum_memo()
-            images = basis_module._power_sum_images(form, derived, n - 1)
-            assert images == _per_form_images(form, n - 1), form
-            if table is not None and n > 1:
-                assert None not in images, form
-                assert verify_harmonicity(form)["witness"] == (1, "polynomial_route", images[0]), form
-                fired += 1
-        # every form that zero removal leaves with a representative; N = 1 has no k
-        reduced = (CvForm(e).remove_zeros()[1] for e in itertools.product(range(n), repeat=n))
-        assert fired == (sum(f is not None for f in reduced) if n > 1 else 0)
-
-    # renamed: the (form, k) pairs with unsorted entries and a nonzero image;
-    # at N <= 2 every lowered form is a scalar, which carries no plant
-    @pytest.mark.parametrize("n, renamed", [(1, 0), (2, 0), (3, 4), (4, 163)])
-    def test_route_two_renames_the_image_of_sorted_entries(self, n, renamed, monkeypatch):
-        # every multiset gets an alternating plant of no value's degree that
-        # no p_k(d) with k < N kills; it keeps [pi.e](t) = sgn(pi) [e](t o pi),
-        # the identity route two rests on, so the memoized sums of one run,
-        # renamed, must equal each form's own sum of its lowered forms
-        def planted(values, mults):
-            numerators, denom = laplace._expand_multiset(values, mults)
-            return {**numerators, **_alternating_plant(mults)}, denom
-
-        monkeypatch.setattr(basis_module, "_expand_multiset", planted)
-        monkeypatch.setattr(laplace, "_block_expansion", planted)
-        _, lowered = basis_module._power_sum_memo()
-        fired = 0
-        for entries in itertools.product(range(n), repeat=n):
-            form = CvForm(entries)
-            images = basis_module._lowered_sum_images(form, lowered, n - 1)
-            assert images == _per_form_sums(form, n - 1), form
-            if list(entries) != sorted(entries):
-                fired += sum(image is not None for image in images)
-        assert fired == renamed
+            if route == "polynomial_route":
+                # the plant moves with the form, so each form gets a memo of its own
+                _, table = laplace._sorted_table(form)
+                plant["multiset"] = None if table is None else (table.values, table.multiplicities)
+                images = basis_module._power_sum_memo()
+            firsts = _renamed_firsts(form, images, route)
+            assert firsts == reference(form, n - 1), form
+            if route == "lowered_forms_route":
+                if list(entries) != sorted(entries):
+                    seen += sum(first is not None for first in firsts)
+            elif firsts and None not in firsts:
+                assert verify_harmonicity(form)["witness"] == (1, route, firsts[0]), form
+                seen += 1
+        assert seen == fired
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_a_partial_derivative_lowers_one_entry(self, n):
@@ -833,6 +847,25 @@ class TestSuites:
         assert oracle_suite(6, 1000, 1)["ok"]
         info = laplace._block_expansion.cache_info()
         assert info.misses == info.currsize == 139
+
+    def test_harmonic_suite_runs_each_route_once_per_sorted_entries(self, monkeypatch):
+        # the 120 forms at N=5 have 16 sorted entry lists and k = 1..4, so 64
+        # calls per route; a memo per form would make 480
+        calls = collections.Counter()
+        derivative, summed = Polynomial.symmetrized_derivative, basis_module.sum_of
+
+        def counted(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(Polynomial, "symmetrized_derivative", counted("derivative", derivative))
+        monkeypatch.setattr(basis_module, "sum_of", counted("sum_of", summed))
+        assert harmonic_suite(5)["ok"]
+        assert len({tuple(sorted(bf.form.entries)) for bf in generate_basis(5).forms}) == 16
+        assert calls == {"derivative": 64, "sum_of": 64}
 
     def test_rank(self):
         checks = {"forms": 6, "rank": 6, "mode": "full expansion"}

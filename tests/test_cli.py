@@ -12,7 +12,7 @@ import pytest
 from cvforms import basis, cli, laplace
 from cvforms.cvform import CvForm
 from cvforms.poly import Polynomial
-from cvforms.ribbon import enumerate_ribbons
+from cvforms.ribbon import class_to_ribbon, count_tableaux, enumerate_ribbons
 
 
 def run(argv, capsys):
@@ -897,7 +897,7 @@ def no_work(monkeypatch):
     def started(*args, **kwargs):
         raise _Started
 
-    for name in ("enumerate_ribbons", "ribbons_of_degree", "generate_basis"):
+    for name in ("enumerate_ribbons", "ribbons_of_degree", "generate_basis", "enumerate_tableaux"):
         monkeypatch.setattr(cli, name, started)
     for name in ("oracle_suite", "rank_suite", "harmonic_suite", "flip_suite", "chars_suite", "orders_suite"):
         monkeypatch.setattr(basis, name, started)
@@ -949,6 +949,19 @@ class TestSizeGuard:
     def test_accepts_the_largest_size(self, argv, no_work):
         with pytest.raises(_Started):
             cli.main([a.format(n=cli.MAX_N) for a in argv])
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_refuses_a_long_tableaux_class_before_any_work(self, fmt, no_work, capsys):
+        # the 17-box zigzag class has 209 865 342 976 tableaux to list
+        zigzag = "[" + " ".join(str(v) for v in range(8, 0, -1) for _ in range(2)) + " 0]"
+        assert count_tableaux(class_to_ribbon(cli._parse_vector(zigzag))) == 209_865_342_976
+        code, out, err = run(["tableaux", zigzag, "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: N=17 is above the largest supported size {cli.MAX_N}\n"
+
+    def test_accepts_the_longest_tableaux_class(self, no_work):
+        with pytest.raises(_Started):
+            cli.main(["tableaux", "[" + " ".join(["1"] * 15) + " 0]"])
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_refuses_an_oracle_size_before_the_vandermonde(self, fmt, no_work, monkeypatch, capsys):
