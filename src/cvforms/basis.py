@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product, zip_longest
-from math import lcm
-from operator import gt, itemgetter
+from math import factorial, lcm
+from operator import gt, itemgetter, lt
 
 from .cvform import CvForm, vector_text
 from .laplace import (
@@ -137,7 +137,8 @@ def _streamed_forms(n: int):
     would check, a permutation falling at the ribbon's column steps, hold
     by construction.  The entry range is checked once per ribbon, on its
     columns, which every filling of it only permutes; each form is then
-    wrapped by ``CvForm.trusted``.
+    wrapped by ``CvForm.trusted``.  ``chars_suite`` reads its forms the
+    same way, inline, and streams these only in its fallback pass.
     """
     read = _filling_reader(backward_order(n))
     columns = {rib.falls(): _ribbon_columns(rib, n) for rib in enumerate_ribbons(n)}
@@ -357,7 +358,8 @@ def _slice_ranks(basis: Basis):
     so the counts agree and the vector grows at i, the earlier index.
     Either way the swap moves strictly up in the order, and the swaps
     end at the stable rank.  A basis has distinct characteristic
-    monomials, so no row meets an earlier row's characteristic monomial:
+    monomials (for the backward basis, every N: ``chars_suite``), so no
+    row meets an earlier row's characteristic monomial:
     the slice is triangular in that order, and ``_certified_rank``
     counts its pivots with no elimination.
     """
@@ -545,14 +547,55 @@ def flip_suite(n: int) -> dict:
 
 
 def chars_suite(n: int) -> dict:
-    """Distinct characteristic monomials; a collision is named on stderr.
+    """Distinct characteristic monomials, by one descent-monomial check per
+    form; a collision is named on stderr.
 
-    One streamed pass over the N! forms (``_streamed_forms``) keeps each
-    monomial, as the bytes of its exponents (each at most N - 1), and
-    builds no tableau.  Only a collision builds the basis, so that
-    ``characteristic_collision`` names the first colliding pair in basis
-    order.
+    Fill a ribbon by w, a permutation of 1..N, falling at its column
+    steps, and let ``s_k`` count the falls at positions k and after.
+    Box k of the ribbon has row ``s_k`` and column ``k + s_k``
+    (``class_to_ribbon``), and the backward reading puts value ``w_k`` in
+    variable ``N - w_k``, so that variable gets entry ``k + s_k``.  These
+    entries do not fall with k and repeat exactly where w falls,
+    ``w_k > w_{k+1}``, that is where the variable ``N - w_k`` comes before
+    ``N - w_{k+1}``: so the stable rank of variable ``N - w_k`` is k.  If w falls at all, the
+    smallest entry ``s_0`` is at least 1 and some entry repeats, so zero
+    removal keeps the form and ``characteristic_exponents`` gives variable
+    ``N - w_k`` the exponent ``k + s_k - k = s_k``.  If w never falls, the
+    entries are 0..N-1 and both sides are zero.  This is the descent
+    monomial of w (Garsia-Stanton 1984), of degree ``sum_k s_k``, the
+    major index of w.  It decodes back to w: ``s_k`` does not rise with
+    k and stays level exactly where w rises, so sorting the values v by
+    ``(-exponent of N - v, v)`` lists ``w_1, ..., w_N``.  So when every
+    form's characteristic monomial equals the descent monomial of its
+    permutation, the N! monomials are pairwise distinct, no set of them
+    is kept, and by the lemma of ``_slice_ranks`` the basis has rank N!.
+
+    The suite runs through x = N - w, the variable of each position, with
+    the fall word ``x_k < x_{k+1}``.  It names the ribbon, whose columns
+    were range-checked once and whose rows are the ``s_k``; the form is
+    read as ``_streamed_forms`` reads it, in one C-level call, and the
+    kernel, called through this module's name, must give variable ``x_k``
+    the exponent ``s_k``.  The check is one-sided: at the first form that
+    fails it, the suite falls back to a streamed pass that keeps each
+    monomial, as the bytes of its exponents, and only a collision there
+    builds the basis, so that ``characteristic_collision`` names the
+    first colliding pair in basis order.
     """
+    # an itemgetter of one index returns the bare item, not a 1-tuple: one
+    # box is read by a lambda, and its one exponent compared bare
+    get = itemgetter(*range(n)) if n > 1 else lambda column_of: (column_of[0],)
+    table = {}
+    for rib in enumerate_ribbons(n):
+        suffix = rib.class_entries()
+        table[rib.falls()] = _ribbon_columns(rib, n), suffix if n > 1 else suffix[0]
+    kernel, trusted = characteristic_exponents, CvForm.trusted
+    passed = {"checks": {"forms": factorial(n), "distinct": True}, "ok": True, "listing": [], "stderr": []}
+    for x in permutations(range(n - 1, -1, -1)):
+        columns, suffix = table[tuple(map(lt, x, x[1:]))]
+        if itemgetter(*x)(kernel(trusted(get(dict(zip(x, columns)))))) != suffix:
+            break
+    else:
+        return passed
     seen: set[bytes] = set()
     for form in _streamed_forms(n):
         key = bytes(characteristic_exponents(form))
@@ -560,7 +603,7 @@ def chars_suite(n: int) -> dict:
             break
         seen.add(key)
     else:
-        return {"checks": {"forms": len(seen), "distinct": True}, "ok": True, "listing": [], "stderr": []}
+        return passed
     basis = generate_basis(n)
     collision = characteristic_collision(basis)
     if collision is None:

@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 import weakref
 from fractions import Fraction
 from types import MappingProxyType
@@ -52,6 +53,8 @@ from cvforms.ribbon import (
     ribbons_of_degree,
     tableau_to_cvform,
 )
+
+from descent_monomials import decode, descent_monomial, major_index
 
 
 class TestQFactorial:
@@ -646,9 +649,76 @@ class TestStreamedCharacteristics:
         def built(*args, **kwargs):
             raise AssertionError("built")
 
-        for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision"):
+        # the set pass streams its forms, so a pass that never streams never enters it
+        for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision", "_streamed_forms"):
             monkeypatch.setattr(basis_module, name, built)
+        real, calls = laplace.characteristic_exponents, []
+        monkeypatch.setattr(basis_module, "characteristic_exponents", lambda form: calls.append(form) or real(form))
         assert chars_suite(6)["checks"] == {"forms": 720, "distinct": True}
+        assert len(calls) == 720
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_descent_monomial_is_the_characteristic_monomial(self, n):
+        for bf in generate_basis(n).forms:
+            assert laplace.characteristic_exponents(bf.form) == descent_monomial(bf.tableau.filling), bf
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_decoding_inverts_the_descent_monomial(self, n):
+        count = 0
+        for w in itertools.permutations(range(1, n + 1)):
+            assert decode(descent_monomial(w)) == w
+            count += 1
+        assert count == math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_degree_is_the_major_index(self, n):
+        for bf in generate_basis(n).forms:
+            assert bf.form.degree() == major_index(bf.tableau.filling), bf
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_the_certificate_checks_the_basis_forms(self, n, monkeypatch):
+        real, handed = laplace.characteristic_exponents, []
+        monkeypatch.setattr(basis_module, "characteristic_exponents", lambda form: handed.append(form) or real(form))
+        assert chars_suite(n)["ok"]
+        forms = sorted(generate_basis(n).forms, key=lambda bf: bf.tableau.filling)
+        assert handed == [bf.form for bf in forms]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("reversed_on", ["every form", "the last form"])
+    def test_distinct_monomials_off_the_certificate_pass_by_the_set(self, n, reversed_on, monkeypatch):
+        # reversing exponents keeps them distinct; reversed only on the
+        # last permutation's form, [N-1 ... N-1], they still are, since no
+        # permutation has the descent monomial (0 1 ... N-1)
+        real, calls = laplace.characteristic_exponents, []
+        last = (n - 1,) * n
+
+        def planted(form):
+            calls.append(form)
+            exps = real(form)
+            return exps[::-1] if reversed_on == "every form" or form.entries == last else exps
+
+        monkeypatch.setattr(basis_module, "characteristic_exponents", planted)
+        monkeypatch.setattr(basis_module, "characteristic_collision", None)  # a pass searches no basis
+        checks = {"forms": math.factorial(n), "distinct": True}
+        assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+        # the certificate stops at its first mismatch, then the set pass sees every form
+        perms = list(itertools.permutations(range(1, n + 1)))
+        first = len(perms) - 1
+        if reversed_on == "every form":
+            first = next(i for i, w in enumerate(perms) if descent_monomial(w)[::-1] != descent_monomial(w))
+        assert len(calls) == first + 1 + len(perms)
+
+    def test_a_pass_keeps_no_monomial(self):
+        # a set of the 40 320 monomials' keys alone takes several MB; the
+        # certificate keeps only the 128 ribbons' columns and rows
+        chars_suite(1)  # imports and first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            assert chars_suite(8)["ok"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_one_box_reads_a_one_tuple(self):
         # an itemgetter of one index would return the bare entry
@@ -677,6 +747,8 @@ class TestStreamedCharacteristics:
             list(basis_module._streamed_forms(3))
         with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
             generate_basis(3)
+        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
+            chars_suite(3)
 
 
 def _assert_accepted(forms) -> int:
