@@ -621,41 +621,38 @@ class TestIndependence:
             assert verify_independence(basis) == (3, False), order
 
 
+def _handed_forms(n, monkeypatch) -> list[CvForm]:
+    # the forms a passing chars_suite(n) hands the kernel, in order
+    real, handed = laplace.characteristic_exponents, []
+    monkeypatch.setattr(basis_module, "characteristic_exponents", lambda form: handed.append(form) or real(form))
+    checks = {"forms": math.factorial(n), "distinct": True}
+    assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+    return handed
+
+
 class TestStreamedCharacteristics:
     """``chars_suite`` streams the N! forms; the basis is the independent slow path."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_sees_the_monomials_of_the_basis(self, n, monkeypatch):
-        real, seen = laplace.characteristic_exponents, collections.Counter()
-
-        def counted(form):
-            exps = real(form)
-            seen[exps] += 1
-            return exps
-
-        monkeypatch.setattr(basis_module, "characteristic_exponents", counted)
-        checks = {"forms": math.factorial(n), "distinct": True}
-        assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
-        assert sum(seen.values()) == math.factorial(n)
-        assert seen == collections.Counter(real(bf.form) for bf in generate_basis(n).forms)
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_one_form_per_permutation(self, n):
         # the basis holds each permutation once, as the filling of its tableau
         forms = sorted(generate_basis(n).forms, key=lambda bf: bf.tableau.filling)
-        assert list(basis_module._streamed_forms(n)) == [bf.form for bf in forms]
+        assert _handed_forms(n, monkeypatch) == [bf.form for bf in forms]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_form_per_permutation(self, n, monkeypatch):
+        # each form's monomial decodes to its permutation, in lexicographic order
+        decoded = [decode(laplace.characteristic_exponents(f)) for f in _handed_forms(n, monkeypatch)]
+        assert decoded == list(itertools.permutations(range(1, n + 1)))
 
     def test_a_pass_builds_no_tableau_and_no_basis(self, monkeypatch):
         def built(*args, **kwargs):
             raise AssertionError("built")
 
-        # the set pass streams its forms, so a pass that never streams never enters it
-        for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision", "_streamed_forms"):
+        # the fallback builds the basis, so a pass that builds none never enters it
+        for name in ("SkewTableau", "BasisForm", "Basis", "generate_basis", "characteristic_collision"):
             monkeypatch.setattr(basis_module, name, built)
-        real, calls = laplace.characteristic_exponents, []
-        monkeypatch.setattr(basis_module, "characteristic_exponents", lambda form: calls.append(form) or real(form))
-        assert chars_suite(6)["checks"] == {"forms": 720, "distinct": True}
-        assert len(calls) == 720
+        assert len(_handed_forms(6, monkeypatch)) == 720
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_descent_monomial_is_the_characteristic_monomial(self, n):
@@ -675,17 +672,9 @@ class TestStreamedCharacteristics:
         for bf in generate_basis(n).forms:
             assert bf.form.degree() == major_index(bf.tableau.filling), bf
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_the_certificate_checks_the_basis_forms(self, n, monkeypatch):
-        real, handed = laplace.characteristic_exponents, []
-        monkeypatch.setattr(basis_module, "characteristic_exponents", lambda form: handed.append(form) or real(form))
-        assert chars_suite(n)["ok"]
-        forms = sorted(generate_basis(n).forms, key=lambda bf: bf.tableau.filling)
-        assert handed == [bf.form for bf in forms]
-
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("reversed_on", ["every form", "the last form"])
-    def test_distinct_monomials_off_the_certificate_pass_by_the_set(self, n, reversed_on, monkeypatch):
+    def test_distinct_monomials_off_the_certificate_pass_by_the_collision_search(self, n, reversed_on, monkeypatch):
         # reversing exponents keeps them distinct; reversed only on the
         # last permutation's form, [N-1 ... N-1], they still are, since no
         # permutation has the descent monomial (0 1 ... N-1)
@@ -698,10 +687,12 @@ class TestStreamedCharacteristics:
             return exps[::-1] if reversed_on == "every form" or form.entries == last else exps
 
         monkeypatch.setattr(basis_module, "characteristic_exponents", planted)
-        monkeypatch.setattr(basis_module, "characteristic_collision", None)  # a pass searches no basis
+        real_collision, searches = basis_module.characteristic_collision, []
+        monkeypatch.setattr(basis_module, "characteristic_collision", lambda b: searches.append(b) or real_collision(b))
         checks = {"forms": math.factorial(n), "distinct": True}
         assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
-        # the certificate stops at its first mismatch, then the set pass sees every form
+        # the certificate stops at its first mismatch, then one search of the basis sees every form
+        assert len(searches) == 1
         perms = list(itertools.permutations(range(1, n + 1)))
         first = len(perms) - 1
         if reversed_on == "every form":
@@ -720,9 +711,9 @@ class TestStreamedCharacteristics:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_one_box_reads_a_one_tuple(self):
+    def test_one_box_reads_a_one_tuple(self, monkeypatch):
         # an itemgetter of one index would return the bare entry
-        forms = list(basis_module._streamed_forms(1))
+        forms = _handed_forms(1, monkeypatch)
         assert forms == [CvForm((0,))]
         assert type(forms[0].entries) is tuple
 
@@ -744,8 +735,6 @@ class TestStreamedCharacteristics:
         ribbons[-1] = stub
         monkeypatch.setattr(basis_module, "enumerate_ribbons", lambda n: iter(ribbons))
         with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
-            list(basis_module._streamed_forms(3))
-        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
             generate_basis(3)
         with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
             chars_suite(3)
@@ -766,8 +755,8 @@ class TestTrustedForms:
     """The package's own constructions skip the range check of ``CvForm``."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_streamed_forms(self, n):
-        assert _assert_accepted(basis_module._streamed_forms(n)) == math.factorial(n)
+    def test_streamed_forms(self, n, monkeypatch):
+        assert _assert_accepted(_handed_forms(n, monkeypatch)) == math.factorial(n)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_basis_in_three_reading_orders(self, n):
