@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product, zip_longest
 from math import factorial, lcm
 from operator import gt, itemgetter, lt
 
-from .cvform import CvForm, vector_text
+from .cvform import CvForm, Record, vector_text
 from .laplace import (
     _expand_multiset,
     _FormRow,
@@ -59,20 +58,26 @@ def q_factorial(n: int) -> list[int]:
     return coeffs
 
 
-@dataclass(frozen=True, slots=True)
-class BasisForm:
+class BasisForm(Record):
     """A generated form together with its source tableau."""
 
-    form: CvForm
-    tableau: SkewTableau
+    __slots__ = _fields = ("form", "tableau")
+
+    def __init__(self, form: CvForm, tableau: SkewTableau):
+        self.form = form
+        self.tableau = tableau
 
 
-@dataclass(frozen=True)
-class Basis:
-    n: int
-    degree: int | None
-    reading_order: tuple[int, ...]
-    forms: tuple[BasisForm, ...]
+class Basis(Record):
+    """The forms of one basis or graded slice, in generation order."""
+
+    __slots__ = _fields = ("n", "degree", "reading_order", "forms")
+
+    def __init__(self, n: int, degree: int | None, reading_order: tuple[int, ...], forms: tuple[BasisForm, ...]):
+        self.n = n
+        self.degree = degree
+        self.reading_order = reading_order
+        self.forms = forms
 
 
 def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Basis:
@@ -213,12 +218,14 @@ def verify_harmonicity(form: CvForm, kmax: int | None = None, memo=None) -> dict
     }
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
+class CoefficientMatrix(Record):
     """Rows of exact coefficients over a shared monomial column list."""
 
-    columns: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("columns", "rows")
+
+    def __init__(self, columns: tuple[tuple[int, ...], ...], rows: tuple[tuple[Fraction, ...], ...]):
+        self.columns = columns
+        self.rows = rows
 
 
 def coefficient_matrix(polys) -> CoefficientMatrix:

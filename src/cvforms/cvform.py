@@ -15,6 +15,7 @@ Polynomial evaluation lives in :mod:`cvforms.laplace`.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 
 def permutation_sign(perm) -> int:
@@ -55,6 +56,42 @@ def valid_class(entries) -> bool:
     if not c or c[-1] != 0:
         return False
     return all(hi - lo in (0, 1) for hi, lo in zip(c, c[1:]))
+
+
+class Record:
+    """Base of the package's plain value classes: equality, hash and repr by field.
+
+    A subclass names its compared fields in ``_fields`` and every attribute
+    in ``__slots__``, and assigns them in its own ``__init__``.  Two records
+    are equal when they are of the same class and their fields are equal;
+    any other class gives NotImplemented.  The hash is that of the field
+    tuple, and ``repr`` reads ``Name(field=value, ...)``.  Records are not
+    frozen: like ``CvForm`` and ``poly.Polynomial`` they are never mutated
+    after construction, which keeps the hash of a record fixed.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the fields, read in C, since ``verify N orders`` compares N!^2
+        # tableaux: an attrgetter returns their tuple, or the bare value of
+        # a single field, which compares as its 1-tuple does
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        key = self._key
+        return hash(key if len(self._fields) > 1 else (key,))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class CvForm:

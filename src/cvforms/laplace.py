@@ -21,16 +21,14 @@ import bisect
 import itertools
 import math
 from collections.abc import KeysView, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, le, neg
 
-from .cvform import CvForm, permutation_sign
+from .cvform import CvForm, Record, permutation_sign
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class DecodingTable:
+class DecodingTable(Record):
     """Descending power runs of a sorted zero-free form.
 
     ``values`` are the distinct entries ascending, ``blocks`` the variable
@@ -38,8 +36,11 @@ class DecodingTable:
     run ``values[j], values[j]-1, ..., 0`` under column positions 1, 2, ...
     """
 
-    values: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("values", "blocks")
+
+    def __init__(self, values: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
+        self.values = values
+        self.blocks = blocks
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -79,8 +80,7 @@ def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
     return _grouped(ent, labels)
 
 
-@dataclass(frozen=True)
-class RowBlock:
+class RowBlock(Record):
     """One signed term of a block expansion.
 
     ``blocks`` holds the strictly decreasing powers of each minor,
@@ -89,9 +89,14 @@ class RowBlock:
     intrinsic shuffle sign with the column-sort and zero-removal signs.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    var_partition: tuple[tuple[int, ...], ...]
-    total_sign: int
+    __slots__ = _fields = ("blocks", "var_partition", "total_sign")
+
+    def __init__(
+        self, blocks: tuple[tuple[int, ...], ...], var_partition: tuple[tuple[int, ...], ...], total_sign: int
+    ):
+        self.blocks = blocks
+        self.var_partition = var_partition
+        self.total_sign = total_sign
 
     def entries(self) -> tuple[int, ...]:
         return tuple(p for blk in self.blocks for p in blk)

@@ -8,7 +8,9 @@ terms; equality and hashing compare values, not representations.
 takes Fraction-like coefficients, and ``terms``, ``canonical_text`` and
 ``to_json_dict`` build reduced Fractions on demand.  All operations return
 new objects; instances are never mutated after construction, so they can
-be shared freely.
+be shared freely.  The package's other value classes, ``cvform.CvForm``
+and the ``cvform.Record`` subclasses, keep the same convention: none is
+frozen, and none is mutated after construction.
 
 The canonical term order is graded: total degree descending, ties broken
 lexicographically on the exponent tuple, descending, with t1 > t2 > ... > tN.

@@ -14,23 +14,21 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from collections.abc import Iterator
-from dataclasses import dataclass
 from operator import gt
 
-from .cvform import CvForm, valid_class
+from .cvform import CvForm, Record, valid_class
 
 BACK = "U"  # step to the row above
 RIGHT = "R"  # step to the next column
 
 
-@dataclass(frozen=True)
-class Ribbon:
+class Ribbon(Record):
     """A connected skew shape with no 2x2 square, as a box walk."""
 
-    boxes: tuple[tuple[int, int], ...]
+    _fields = ("boxes",)
+    __slots__ = ("boxes", "_steps", "_falls")
 
-    def __post_init__(self):
-        boxes = self.boxes
+    def __init__(self, boxes: tuple[tuple[int, int], ...]):
         n = len(boxes)
         if n == 0:
             raise ValueError("a ribbon needs at least one box")
@@ -44,10 +42,11 @@ class Ribbon:
                 steps.append(BACK)
             else:
                 raise ValueError(f"illegal step {(k1, c1)} -> {(k2, c2)}")
-        # kept beside the fields: every tableau validation reads the steps,
-        # and the fall word (True at a column step) checks a filling in C
-        object.__setattr__(self, "_steps", tuple(steps))
-        object.__setattr__(self, "_falls", tuple(s == BACK for s in steps))
+        self.boxes = boxes
+        # kept beside the field, not compared: every tableau validation reads
+        # the steps, and the fall word (True at a column step) checks a filling in C
+        self._steps = tuple(steps)
+        self._falls = tuple(s == BACK for s in steps)
 
     @property
     def size(self) -> int:
@@ -93,15 +92,12 @@ def ribbon_from_steps(steps) -> Ribbon:
     return Ribbon(tuple(boxes))
 
 
-@dataclass(frozen=True)
-class SkewPartition:
+class SkewPartition(Record):
     """A pair lam/mu of partitions, mu inside lam."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
+    __slots__ = _fields = ("lam", "mu")
 
-    def __post_init__(self):
-        lam, mu = self.lam, self.mu
+    def __init__(self, lam: tuple[int, ...], mu: tuple[int, ...]):
         if any(a < b for a, b in zip(lam, lam[1:])) or any(a < b for a, b in zip(mu, mu[1:])):
             raise ValueError("partition rows must be nonincreasing")
         if len(mu) > len(lam):
@@ -109,6 +105,8 @@ class SkewPartition:
         padded = mu + (0,) * (len(lam) - len(mu))
         if any(m > l for l, m in zip(lam, padded)):
             raise ValueError("inner shape does not fit inside outer shape")
+        self.lam = lam
+        self.mu = mu
 
     @property
     def size(self) -> int:
@@ -133,24 +131,24 @@ def to_skew_partition(r: Ribbon) -> SkewPartition:
     return SkewPartition(tuple(lam), tuple(mu))
 
 
-@dataclass(frozen=True, slots=True)
-class SkewTableau:
+class SkewTableau(Record):
     """A standard filling of a ribbon, stored along the box walk."""
 
-    ribbon: Ribbon
-    filling: tuple[int, ...]
+    __slots__ = _fields = ("ribbon", "filling")
 
-    def __post_init__(self):
-        n = self.ribbon.size
-        w = self.filling
+    def __init__(self, ribbon: Ribbon, filling: tuple[int, ...]):
+        self.ribbon = ribbon
+        self.filling = filling
+        w = filling
+        n = len(ribbon.boxes)
         # the predicate of the loop below, in C: a permutation of 1..N that
         # falls exactly at the column steps; only a rejected filling runs
         # the loop, which names the fault
-        if tuple(map(gt, w, w[1:])) == self.ribbon._falls and sorted(w) == list(range(1, n + 1)):
+        if tuple(map(gt, w, w[1:])) == ribbon._falls and sorted(w) == list(range(1, n + 1)):
             return
         if sorted(w) != list(range(1, n + 1)):
             raise ValueError(f"filling {w} is not a permutation of 1..{n}")
-        for (a, b), s in zip(zip(w, w[1:]), self.ribbon.steps()):
+        for (a, b), s in zip(zip(w, w[1:]), ribbon.steps()):
             if s == RIGHT and not a < b:
                 raise ValueError(f"filling {w} does not rise along a row step")
             if s == BACK and not a > b:
@@ -164,13 +162,20 @@ class SkewTableau:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkewTableau":
-        """Inverse of ``to_json_dict``; malformed data, a ``true`` or ``1.0`` entry included, raises ValueError."""
+        """Inverse of ``to_json_dict``; malformed data raises ValueError.
+
+        That includes a ``true`` or ``1.0`` entry and a box that is not a
+        ``[row, column]`` pair.
+        """
         try:
             boxes = tuple(tuple(b) for b in data["boxes"])
             filling = tuple(data["filling"])
             for x in itertools.chain(filling, *boxes):
                 if type(x) is not int:
                     raise ValueError(f"tableau JSON entries must be integers, not {type(x).__name__}")
+            for b in boxes:
+                if len(b) != 2:
+                    raise ValueError(f"tableau JSON box {list(b)} is not a [row, column] pair")
             return cls(Ribbon(boxes), filling)
         except KeyError as exc:
             raise ValueError(f"tableau JSON lacks the key {exc}") from None

@@ -1,6 +1,5 @@
 """Command line behavior: golden text, JSON schemas, exit codes."""
 
-import dataclasses
 import json
 import re
 import subprocess
@@ -704,14 +703,14 @@ class TestVerify:
                 return b
             forms = list(b.forms)
             edit(forms)
-            return dataclasses.replace(b, forms=tuple(forms))
+            return basis.Basis(b.n, b.degree, b.reading_order, tuple(forms))
 
         monkeypatch.setattr(basis, "generate_basis", edited)
 
     def test_orders_duplicate_form_names_a_witness(self, capsys, monkeypatch):
         # the (1 3 2) basis reads [2 2 2] [1 2 2] [2 2 1] [1 2 1] [1 1 2] [0 2 1]
         def duplicate(forms):
-            forms[5] = dataclasses.replace(forms[5], form=forms[1].form)
+            forms[5] = basis.BasisForm(forms[1].form, forms[5].tableau)
 
         self._edit_order_132(monkeypatch, duplicate)
         code, out, err = run(["verify", "3", "orders"], capsys)
@@ -725,7 +724,7 @@ class TestVerify:
         # two forms trade tableaux: the form set, and so the rank, is unchanged
         def swap(forms):
             a, b = forms[1], forms[2]
-            forms[1], forms[2] = dataclasses.replace(a, form=b.form), dataclasses.replace(b, form=a.form)
+            forms[1], forms[2] = basis.BasisForm(b.form, a.tableau), basis.BasisForm(a.form, b.tableau)
 
         self._edit_order_132(monkeypatch, swap)
         code, out, err = run(["verify", "3", "orders"], capsys)
@@ -823,6 +822,21 @@ class TestFlipCommand:
         # each of these equals the valid tableau in Python, which flip used to print
         assert run(["flip", text.replace("true", "1").replace("false", "0").replace(".0", "")], capsys)[0] == 0
         assert run(["flip", text], capsys) == (2, "", f"error: tableau JSON entries must be integers, not {kind}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "boxes, filling, bad",
+        [
+            ("[[1,0,9],[0,1]]", "[2,1]", "[1, 0, 9]"),
+            ("[[1],[0,1]]", "[2,1]", "[1]"),
+            ("[[0]]", "[1]", "[0]"),
+        ],
+        ids=["three-entries", "one-entry", "lone-box"],
+    )
+    def test_tableau_json_box_must_be_a_pair(self, boxes, filling, bad, fmt, capsys):
+        text = f'{{"boxes":{boxes},"filling":{filling}}}'
+        expected = (2, "", f"error: tableau JSON box {bad} is not a [row, column] pair\n")
+        assert run(["flip", text, "--format", fmt], capsys) == expected
 
     def test_deeply_nested_tableau_json_exits_two(self, capsys, tmp_path):
         text = '{"boxes": ' + "[" * 20000 + "]" * 20000 + "}"
