@@ -135,6 +135,8 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
     list at index i stands after ``n - c - (len(available) - 1 - i)``
     larger, earlier-picked columns.  Not cached: ``_block_expansion``
     keeps the integer value built from a walk, once per entry multiset.
+    The recursion drops its reference to itself when the walk is done, so
+    it leaves no reference cycle and its partial lists are freed at return.
     """
     n = sum(mults)
     fact = [math.factorial(p) for p in range(n)]
@@ -163,6 +165,7 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
                 rec(rest, j + 1, block, flips, run_denom)
 
     rec(list(range(1, n + 1)), 0, (), 0, 1)
+    del rec  # rec's closure holds rec itself: a cycle that only the collector would free
     return terms
 
 
@@ -437,7 +440,9 @@ def naive_oracle(form: CvForm) -> Polynomial:
     most the k-th smallest entry of its columns, for every k (Hall's
     condition for these nested row sets).  A minor that fails this is
     identically zero and is not expanded; a vanishing form costs one
-    check.
+    check.  The memo lives only for the call: ``minor`` drops its
+    reference to itself before the value is returned, so no cycle keeps the
+    memo alive until the collector finds it.
     """
     n = form.N
     ent = form.entries
@@ -465,39 +470,56 @@ def naive_oracle(form: CvForm) -> Polynomial:
         return acc
 
     denom = math.prod(math.factorial(e) for e in ent)
-    return Polynomial.from_numerators(n, minor(len(rows_of) - 1, 0), denom)
+    top = minor(len(rows_of) - 1, 0)
+    del minor  # minor's closure holds minor itself: a cycle that would keep the memo alive
+    return Polynomial.from_numerators(n, top, denom)
 
 
 @lru_cache(maxsize=None)
 def _integer_vandermonde(n: int) -> tuple[int, tuple]:
     """``prod_{i<j} (t_i - t_j)`` as an integer exponent trie, and ``prod_{i<j} (j - i)``.
 
-    The product is multiplied out from its linear factors.  A trie level
-    is a tuple of ``(exponent, child)`` pairs, exponents descending, where
-    the child is the next variable's level, or the coefficient after t_N.
+    The product is multiplied out from its linear factors, on exponent
+    vectors packed into one int in base N, t_1 the most significant digit.
+    t_i occurs in N-1 of the factors, so no exponent of any partial product
+    exceeds N-1 < N: digits never carry, adding ``N^(N-1-i)`` raises the
+    exponent of t_i by exactly one, and descending ints are the exponent
+    tuples in descending lexicographic order.  The factors are taken by
+    their larger index, so after those of t_j the partial product is the
+    Vandermonde of t_1..t_j, with j! terms (taken by the smaller index,
+    the partial products hold about twice as many terms in all at N=9).
+
+    A trie level is a tuple of ``(exponent, child)`` pairs, exponents
+    descending, where the child is the next variable's level, or the
+    coefficient after t_N.  Digits are read only while the levels are
+    grouped: the keys under one node share the digits above t_i's, so
+    t_i's level groups them by their quotient by t_i's place value, and
+    that quotient mod N is the exponent of t_i.
     """
-    terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
+    place = [n ** (n - 1 - i) for i in range(n)]
+    terms: dict[int, int] = {0: 1}
     denom = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out: dict[tuple[int, ...], int] = {}
+    for j in range(n):
+        for i in range(j):
+            up_i, up_j = place[i], place[j]
+            out = {key + up_i: c for key, c in terms.items()}
             for key, c in terms.items():
-                up_i = key[:i] + (key[i] + 1,) + key[i + 1:]
-                up_j = key[:j] + (key[j] + 1,) + key[j + 1:]
-                out[up_i] = out.get(up_i, 0) + c
-                out[up_j] = out.get(up_j, 0) - c
+                key += up_j
+                out[key] = out.get(key, 0) - c
             terms = {key: c for key, c in out.items() if c}
             denom *= j - i
 
-    def level(items: list, depth: int) -> tuple | int:
-        if depth == n:
-            return items[0][1]
+    def level(keys: list[int], depth: int) -> tuple:
+        if depth == n - 1:
+            return tuple((key % n, terms[key]) for key in keys)
         return tuple(
-            (e, level(list(group), depth + 1))
-            for e, group in itertools.groupby(items, key=lambda kc: kc[0][depth])
+            (prefix % n, level(list(group), depth + 1))
+            for prefix, group in itertools.groupby(keys, place[depth].__rfloordiv__)
         )
 
-    return denom, level(sorted(terms.items(), reverse=True), 0)
+    trie = level(sorted(terms, reverse=True), 0)
+    del level  # level's closure holds level itself: a cycle that only the collector would free
+    return denom, trie
 
 
 @lru_cache(maxsize=None)
@@ -514,7 +536,9 @@ def derivative_oracle(form: CvForm) -> Polynomial:
     trie: t_i^e becomes ``e!/(e-k)!`` times t_i^(e-k), and a branch is
     dropped at the first variable whose exponent is below its order k.
     The walk recurses down to depth N-2 and closes the last two variables
-    there in one nested loop, so a parent of leaves costs no call.
+    there in one nested loop, so a parent of leaves costs no call.  The
+    walk drops its reference to itself when it is done, so it leaves no
+    reference cycle for the collector to find.
     """
     n = form.N
     denom, trie = _integer_vandermonde(n)
@@ -549,6 +573,7 @@ def derivative_oracle(form: CvForm) -> Polynomial:
             out[(e - last,)] = perm(e, last) * leaf
     else:
         walk(trie, 0, (), 1)
+    del walk  # walk's closure holds walk itself: a cycle that only the collector would free
     return Polynomial.from_numerators(n, out, denom)
 
 

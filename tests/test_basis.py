@@ -5,6 +5,7 @@ import copy
 import itertools
 import math
 import pickle
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -909,6 +910,38 @@ class TestSuites:
         sampled = oracle_suite(5, samples=6, seed=1)
         assert sampled["checks"]["source"] == "6 seeded samples (seed 1)" and sampled["checks"]["forms"] == 6
         assert capsys.readouterr() == ("", "")
+
+    def test_oracle_suite_checks_the_same_forms(self, monkeypatch):
+        # the draw as written before the suite was streamed
+        rng = random.Random(1)
+        frozen = [CvForm(tuple(rng.randrange(6) for _ in range(6))) for _ in range(1000)]
+        seen = []
+        check = basis_module._oracle_check
+        monkeypatch.setattr(basis_module, "_oracle_check", lambda form: seen.append(form) or check(form))
+        assert oracle_suite(6, 1000, 1)["stderr"] == ["nonzero forms: 366 of 1000"]
+        assert seen == frozen
+        assert all(type(f.entries) is tuple for f in seen)
+
+    def test_oracle_suite_counts_every_mismatch_and_keeps_ten(self, monkeypatch):
+        monkeypatch.setattr(basis_module, "_oracle_check", lambda form: (True, f"witness: {form}"))
+        report = oracle_suite(5, 25, 2)
+        assert report["checks"]["mismatches"] == 25 and not report["ok"]
+        assert len(report["listing"]) == 10 and len(report["stderr"]) == 11
+        assert report["stderr"][-1] == "nonzero forms: 25 of 25"
+
+    def test_oracle_suite_memory_does_not_grow_with_samples(self):
+        # kept forms and results took about 210 bytes a sample, 4 MB over these runs;
+        # the untraced first run fills the caches that both measured runs share
+        oracle_suite(5, 2000, 7)
+        peaks = []
+        for samples in (2000, 20000):
+            tracemalloc.start()
+            try:
+                assert oracle_suite(5, samples, 7)["ok"]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 256 * 1024
 
     def test_oracle_suite_expands_each_multiset_once(self):
         # the oracle6 input meets 139 multisets 559 times; none is evicted and rebuilt

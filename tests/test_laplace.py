@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import gc
 import inspect
 import itertools
 import math
@@ -322,7 +323,7 @@ class TestOraclesAgainstLeibniz:
     def test_six(self, entries):
         self.check(entries)
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_normalized_vandermonde(self, n):
         assert normalized_vandermonde(n) == leibniz_det(CvForm((n - 1,) * n))
 
@@ -429,6 +430,56 @@ class TestOraclesAgainstLeibniz:
                 else:
                     assert read[0] == 2**n - 1
         assert vanishing == 0 + 1 + 11 + 131
+
+
+def _frozen_integer_vandermonde(n: int):
+    """The Vandermonde trie as built on exponent tuples, before the keys were packed."""
+    terms = {(0,) * n: 1}
+    denom = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            out = {}
+            for key, c in terms.items():
+                up_i = key[:i] + (key[i] + 1,) + key[i + 1:]
+                up_j = key[:j] + (key[j] + 1,) + key[j + 1:]
+                out[up_i] = out.get(up_i, 0) + c
+                out[up_j] = out.get(up_j, 0) - c
+            terms = {key: c for key, c in out.items() if c}
+            denom *= j - i
+
+    def level(items, depth):
+        if depth == n:
+            return items[0][1]
+        return tuple(
+            (e, level(list(group), depth + 1))
+            for e, group in itertools.groupby(items, key=lambda kc: kc[0][depth])
+        )
+
+    return denom, level(sorted(terms.items(), reverse=True), 0)
+
+
+class TestOracleLayer:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_packed_product_builds_the_frozen_trie(self, n):
+        # every level, leaf and the denominator
+        assert laplace._integer_vandermonde.__wrapped__(n) == _frozen_integer_vandermonde(n)
+
+    def test_oracle_calls_leave_no_cyclic_garbage(self):
+        # a recursive closure that keeps itself alive holds its call's memo
+        # until the collector runs; every call must free it on return
+        forms = [CvForm(e) for e in [(4, 4, 4, 4, 4), (4, 0, 1, 2, 3), (5, 5, 5, 5, 5, 5), (5, 2, 0, 1, 3, 5)]]
+        assert all(naive_oracle(f) for f in forms)
+        gc.collect()
+        gc.disable()
+        try:
+            for f in forms:
+                naive_oracle(f)
+                derivative_oracle(f)
+            laplace._walk((1, 3, 4), (2, 2, 1))
+            laplace._integer_vandermonde.__wrapped__(5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestIntegerKernel:
