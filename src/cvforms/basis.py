@@ -14,9 +14,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product, repeat, zip_longest
+from itertools import accumulate, permutations, product, repeat, zip_longest
 from math import factorial, lcm
-from operator import gt, itemgetter, lt
+from operator import gt, itemgetter, lt, sub
 
 from .cvform import CvForm, Record, vector_text
 from .laplace import (
@@ -44,17 +44,18 @@ def q_factorial(n: int) -> list[int]:
     """Coefficient list of ``prod_{i=1..N-1} (1 + q + ... + q^i)``.
 
     Entry d counts the permutations of N letters with d inversions, which
-    is also the number of degree-d forms in the standard basis.
+    is also the number of degree-d forms in the standard basis.  Each
+    factor adds i + 1 consecutive coefficients, one difference of prefix
+    sums, so the whole product takes O(N^3) additions.
     """
     if n < 1:
         raise ValueError("need at least one variable")
     coeffs = [1]
     for i in range(1, n):
-        nxt = [0] * (len(coeffs) + i)
-        for d, c in enumerate(coeffs):
-            for j in range(i + 1):
-                nxt[d + j] += c
-        coeffs = nxt
+        # entry d is acc[min(d + 1, len)] - acc[max(d - i, 0)], both
+        # sides padded out to the new length and subtracted in C
+        acc = list(accumulate(coeffs, initial=0))
+        coeffs = list(map(sub, acc[1:] + acc[-1:] * i, acc[:1] * (i + 1) + acc[1:-1]))
     return coeffs
 
 
@@ -106,21 +107,21 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
         ribbons = ribbons_of_degree(n, degree)
         tableaux = map(enumerate_tableaux, ribbons)
     forms = []
-    read = _filling_reader(order)
+    # the reading of tableau_to_cvform: value v of the filling sits in the
+    # column of its box, and one getter takes the values in order
+    get = _tuple_getter(order)
     for rib, rib_tableaux in zip(ribbons, tableaux):
         columns = _ribbon_columns(rib, n)
         for t in rib_tableaux:
-            forms.append(BasisForm(CvForm.trusted(read(columns, t.filling)), t))
+            forms.append(BasisForm(CvForm.trusted(get(dict(zip(t.filling, columns)))), t))
     return Basis(n, degree, order, tuple(forms))
 
 
-def _filling_reader(order):
-    # read(columns, filling) is the reading of tableau_to_cvform: value v of
-    # the filling sits in the column of its box, and one itemgetter takes the
-    # values in order, in C; an itemgetter of one index returns the bare
-    # item, so a single value is read in Python
-    get = itemgetter(*order) if len(order) > 1 else lambda column_of: tuple(column_of[v] for v in order)
-    return lambda columns, filling: get(dict(zip(filling, columns)))
+def _tuple_getter(keys):
+    # the items at keys as a tuple, in one C call; an itemgetter of one key
+    # returns the bare item, so that key is read by a lambda into a 1-tuple
+    keys = tuple(keys)
+    return itemgetter(*keys) if len(keys) > 1 else lambda mapping: tuple(mapping[k] for k in keys)
 
 
 def _ribbon_columns(rib, n: int) -> tuple[int, ...]:
@@ -582,9 +583,8 @@ def chars_suite(n: int) -> dict:
     ``characteristic_collision`` decides, naming the first colliding pair
     in basis order.
     """
-    # an itemgetter of one index returns the bare item, not a 1-tuple: one
-    # box is read by a lambda, and its one exponent compared bare
-    get = itemgetter(*range(n)) if n > 1 else lambda column_of: (column_of[0],)
+    # one box's one exponent is compared bare, as itemgetter(*x) returns it
+    get = _tuple_getter(range(n))
     table = {}
     for rib in enumerate_ribbons(n):
         suffix = rib.class_entries()

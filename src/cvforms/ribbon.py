@@ -18,15 +18,12 @@ from operator import gt
 
 from .cvform import CvForm, Record, valid_class
 
-BACK = "U"  # step to the row above
-RIGHT = "R"  # step to the next column
-
 
 class Ribbon(Record):
     """A connected skew shape with no 2x2 square, as a box walk."""
 
     _fields = ("boxes",)
-    __slots__ = ("boxes", "_steps", "_falls")
+    __slots__ = ("boxes", "_falls")
 
     def __init__(self, boxes: tuple[tuple[int, int], ...]):
         n = len(boxes)
@@ -34,19 +31,18 @@ class Ribbon(Record):
             raise ValueError("a ribbon needs at least one box")
         if boxes[-1] != (0, n - 1):
             raise ValueError(f"last box must be (0, {n - 1}), got {boxes[-1]}")
-        steps = []
+        falls = []
         for (k1, c1), (k2, c2) in zip(boxes, boxes[1:]):
             if k2 == k1 and c2 == c1 + 1:
-                steps.append(RIGHT)
+                falls.append(False)
             elif k2 == k1 - 1 and c2 == c1:
-                steps.append(BACK)
+                falls.append(True)
             else:
                 raise ValueError(f"illegal step {(k1, c1)} -> {(k2, c2)}")
         self.boxes = boxes
-        # kept beside the field, not compared: every tableau validation reads
-        # the steps, and the fall word (True at a column step) checks a filling in C
-        self._steps = tuple(steps)
-        self._falls = tuple(s == BACK for s in steps)
+        # kept beside the field, not compared: every tableau validation and the
+        # basis layer's filing of permutations read the fall word
+        self._falls = tuple(falls)
 
     @property
     def size(self) -> int:
@@ -56,9 +52,6 @@ class Ribbon(Record):
     def height(self) -> int:
         """Number of rows occupied, the top row coordinate plus one."""
         return self.boxes[0][0] + 1
-
-    def steps(self) -> tuple[str, ...]:
-        return self._steps
 
     def falls(self) -> tuple[bool, ...]:
         """True where the walk steps up a column, so a standard filling falls."""
@@ -79,17 +72,6 @@ def class_to_ribbon(class_entries) -> Ribbon:
 def ribbon_index(r: Ribbon) -> int:
     """Sum of the row coordinates; the degree of the attached forms."""
     return sum(k for k, _ in r.boxes)
-
-
-def ribbon_from_steps(steps) -> Ribbon:
-    """Rebuild a ribbon from its step word, anchored at (0, N-1)."""
-    seq = tuple(steps)
-    n = len(seq) + 1
-    boxes = [(0, n - 1)]
-    for s in reversed(seq):
-        k, c = boxes[0]
-        boxes.insert(0, (k + 1, c) if s == BACK else (k, c - 1))
-    return Ribbon(tuple(boxes))
 
 
 class SkewPartition(Record):
@@ -148,10 +130,10 @@ class SkewTableau(Record):
             return
         if sorted(w) != list(range(1, n + 1)):
             raise ValueError(f"filling {w} is not a permutation of 1..{n}")
-        for (a, b), s in zip(zip(w, w[1:]), ribbon.steps()):
-            if s == RIGHT and not a < b:
+        for (a, b), fall in zip(zip(w, w[1:]), ribbon.falls()):
+            if not fall and not a < b:
                 raise ValueError(f"filling {w} does not rise along a row step")
-            if s == BACK and not a > b:
+            if fall and not a > b:
                 raise ValueError(f"filling {w} does not fall along a column step")
 
     def box_of(self, value: int) -> tuple[int, int]:
@@ -183,22 +165,22 @@ class SkewTableau(Record):
             raise ValueError(f"malformed tableau JSON: {exc}") from None
 
 
-def _completions(steps: tuple[str, ...]) -> list[list[int]]:
+def _completions(falls: tuple[bool, ...]) -> list[list[int]]:
     """Completion counts: row p, entry j counts the ways to complete a
     word of length p + 1 whose last value exceeds exactly j of the still
     unused values.  Filled backwards from the last box, each row is one
     prefix sum over the next.
     """
     completions = [[1]]
-    for step in reversed(steps):
+    for fall in reversed(falls):
         below = list(itertools.accumulate(completions[0], initial=0))
-        completions.insert(0, [below[-1] - b for b in below] if step == RIGHT else below)
+        completions.insert(0, below if fall else [below[-1] - b for b in below])
     return completions
 
 
 def count_tableaux(r: Ribbon) -> int:
     """Number of standard fillings, in O(N^2) from the completion counts."""
-    return sum(_completions(r.steps())[0])
+    return sum(_completions(r.falls())[0])
 
 
 def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:
@@ -211,16 +193,16 @@ def enumerate_tableaux(r: Ribbon) -> list[SkewTableau]:
     is ever built.
     """
     n = r.size
-    steps = r.steps()
-    completions = _completions(steps)
+    falls = r.falls()
+    completions = _completions(falls)
     values = tuple(range(1, n + 1))
     level = [((v,), values[:v - 1] + values[v:]) for v in values if completions[0][v - 1]]
-    for p, step in enumerate(steps, start=1):
+    for p, fall in enumerate(falls, start=1):
         fits = completions[p]
         grown = []
         for word, unused in level:
             cut = bisect(unused, word[-1])
-            for i in range(cut, len(unused)) if step == RIGHT else range(cut):
+            for i in range(cut) if fall else range(cut, len(unused)):
                 if fits[i]:
                     grown.append((word + (unused[i],), unused[:i] + unused[i + 1:]))
         level = grown
@@ -276,14 +258,14 @@ def tableau_from_cvform(form: CvForm) -> SkewTableau:
 def flip(t: SkewTableau) -> SkewTableau:
     """Reflect across the skew diagonal and complement the values.
 
-    Row and column steps trade places along the walk and value v becomes
-    N-v+1, which keeps the filling standard; applying flip twice gives
-    the original tableau back.
+    Box (k, c) goes to (N-1-c, N-1-k), which keeps the walk's box order
+    and its anchor (0, N-1), so row and column steps trade places along
+    the walk; value v becomes N-v+1, which keeps the filling standard.
+    Applying flip twice gives the original tableau back.
     """
-    steps = t.ribbon.steps()
-    swapped = tuple(BACK if s == RIGHT else RIGHT for s in steps)
     n = t.ribbon.size
-    return SkewTableau(ribbon_from_steps(swapped), tuple(n + 1 - v for v in t.filling))
+    boxes = tuple((n - 1 - c, n - 1 - k) for k, c in t.ribbon.boxes)
+    return SkewTableau(Ribbon(boxes), tuple(n + 1 - v for v in t.filling))
 
 
 def enumerate_ribbons(n: int) -> Iterator[Ribbon]:

@@ -81,6 +81,25 @@ class TestQFactorial:
         with pytest.raises(ValueError):
             q_factorial(0)
 
+    def test_prefix_sums_match_the_triple_loop(self):
+        for n in range(1, 41):
+            c = q_factorial(n)
+            assert c == _q_factorial_by_slots(n)
+            assert sum(c) == math.factorial(n)
+
+
+def _q_factorial_by_slots(n):
+    # the product as first written: each factor 1 + q + ... + q^i adds
+    # every coefficient into i + 1 slots, O(N^4) in all
+    coeffs = [1]
+    for i in range(1, n):
+        nxt = [0] * (len(coeffs) + i)
+        for d, c in enumerate(coeffs):
+            for j in range(i + 1):
+                nxt[d + j] += c
+        coeffs = nxt
+    return coeffs
+
 
 class TestGenerateBasis:
     def test_degree_three_at_four(self):

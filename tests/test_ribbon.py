@@ -20,7 +20,6 @@ from cvforms.ribbon import (
     flip,
     render_ribbon,
     render_tableau,
-    ribbon_from_steps,
     ribbon_generating_function,
     ribbon_index,
     ribbons_of_degree,
@@ -75,10 +74,6 @@ class TestRibbonShape:
                 cls = r.class_entries()
                 assert class_to_ribbon(cls) == r
                 assert ribbon_index(r) == sum(cls)
-
-    def test_steps_round_trip(self):
-        for r in enumerate_ribbons(6):
-            assert ribbon_from_steps(r.steps()) == r
 
     def test_rejects_invalid_class(self):
         with pytest.raises(ValueError):
@@ -199,7 +194,7 @@ class TestTableaux:
                     accepted = True
                 except ValueError:
                     accepted = False
-                assert accepted == (perm in groups[r.steps()])
+                assert accepted == (perm in groups[r.falls()])
 
     def test_json_round_trip(self):
         t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
@@ -209,14 +204,14 @@ class TestTableaux:
         t = SkewTableau(class_to_ribbon(GOLDEN_CLASS), GOLDEN_FILLING)
         back = pickle.loads(pickle.dumps(t))
         assert back == t and hash(back) == hash(t)
-        assert back.ribbon.steps() == t.ribbon.steps()
+        assert back.ribbon.falls() == t.ribbon.falls()
 
 
-def brute_force_fillings(n: int) -> dict[tuple[str, ...], list[tuple[int, ...]]]:
-    """Permutations of 1..n in lexicographic order, grouped by step word."""
-    groups: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
+def brute_force_fillings(n: int) -> dict[tuple[bool, ...], list[tuple[int, ...]]]:
+    """Permutations of 1..n in lexicographic order, grouped by fall word."""
+    groups: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
     for perm in itertools.permutations(range(1, n + 1)):
-        word = tuple("R" if a < b else "U" for a, b in zip(perm, perm[1:]))
+        word = tuple(a > b for a, b in zip(perm, perm[1:]))
         groups.setdefault(word, []).append(perm)
     return groups
 
@@ -227,17 +222,14 @@ class TestLevelwiseEnumeration:
         groups = brute_force_fillings(n)
         for r in enumerate_ribbons(n):
             fillings = [t.filling for t in enumerate_tableaux(r)]
-            assert fillings == groups[r.steps()]
+            assert fillings == groups[r.falls()]
             assert len(fillings) == count_syt(to_skew_partition(r))
 
     def test_cached_steps_follow_the_boxes(self):
         for n in range(1, 7):
             for r in enumerate_ribbons(n):
-                rebuilt = tuple(
-                    "R" if k2 == k1 else "U" for (k1, _), (k2, _) in zip(r.boxes, r.boxes[1:])
-                )
-                assert r.steps() == rebuilt
-                assert r.falls() == tuple(s == "U" for s in rebuilt)
+                rebuilt = tuple(k2 != k1 for (k1, _), (k2, _) in zip(r.boxes, r.boxes[1:]))
+                assert r.falls() == rebuilt
                 assert Ribbon(r.boxes) == r and hash(Ribbon(r.boxes)) == hash(r)
 
     def test_small_step_words(self):
@@ -326,8 +318,15 @@ class TestFlip:
     def test_steps_swap_in_place(self):
         r = class_to_ribbon((2, 1, 0, 0))
         t = enumerate_tableaux(r)[0]
-        swapped = tuple("U" if s == "R" else "R" for s in r.steps())
-        assert flip(t).ribbon.steps() == swapped
+        swapped = tuple(not fall for fall in r.falls())
+        assert flip(t).ribbon.falls() == swapped
+
+    def test_reflection_is_the_walk_of_the_swapped_falls(self):
+        for n in range(1, 11):
+            for r in enumerate_ribbons(n):
+                t = enumerate_tableaux(r)[0]
+                swapped = tuple(not fall for fall in r.falls())
+                assert flip(t).ribbon == _ribbon_walk(swapped)
 
 
 class TestDegreeListing:
@@ -435,3 +434,14 @@ class TestRendering:
     def test_single_box(self):
         r = class_to_ribbon((0,))
         assert render_ribbon(r) == "#"
+
+
+def _ribbon_walk(falls) -> Ribbon:
+    # the ribbon of a fall word, walked back from its anchor (0, N-1): a
+    # column step comes from the row below, a row step from the column left
+    n = len(falls) + 1
+    boxes = [(0, n - 1)]
+    for fall in reversed(falls):
+        k, c = boxes[0]
+        boxes.insert(0, (k + 1, c) if fall else (k, c - 1))
+    return Ribbon(tuple(boxes))
