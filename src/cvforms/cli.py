@@ -310,17 +310,17 @@ def cmd_count(args) -> dict:
         record["ribbons"] = 2 ** (n - 1)
         return record
     # generating function of ribbon indices and heights
-    gf = ribbon_generating_function(n)
-    by_degree: dict[int, dict[int, int]] = {}
-    for (d, l), c in gf.items():
-        by_degree.setdefault(d, {})[l] = c
+    rows = ribbon_generating_function(n)
     if args.at is not None:
         at = args.at[2:] if args.at.startswith("q^") else args.at
         degrees = [int(at)]
     else:
-        degrees = sorted(by_degree)
+        # the last row ends at the top index, and every index up to it has ribbons
+        degrees = range(len(rows[-1]))
+    # each degree's column of the table, highest power of t first
+    powers = range(len(rows) - 1, -1, -1)
     record["gf"] = [
-        {"q": d, "t": [{"power": l, "coeff": c} for l, c in sorted(by_degree.get(d, {}).items(), reverse=True)]}
+        {"q": d, "t": [{"power": l, "coeff": rows[l][d]} for l in powers if 0 <= d < len(rows[l]) and rows[l][d]]}
         for d in degrees
     ]
     return record

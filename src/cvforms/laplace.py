@@ -67,7 +67,7 @@ def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
     ``variables`` optionally relabels the columns (1-based), as needed
     after a stable sort moved them; defaults to ``1..N`` in place.  The
     validated entry for outside input; ``_sorted_table`` builds the same
-    table with the same grouping, from an order it has just made.
+    table from an order it has just made.
     """
     ent = form.entries
     if any(a > b for a, b in zip(ent, ent[1:])):
@@ -184,22 +184,31 @@ def _order_sign(order) -> int:
     return -1 if (n - cycles) & 1 else 1
 
 
-def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
-    """Sign and decoding table of a form after zero removal and entry sorting.
+def _sorted_order(form: CvForm) -> tuple[int, tuple[int, ...] | None, list[int] | None]:
+    """Sign, sorted entries and stable order of a form after zero removal.
 
-    The sign is the product of the zero-removal and sort signs.  A scalar
-    form has no table: its value is the sign itself (0 for the zero form).
-    One O(N) pass past zero removal: the stable order is computed once,
-    its sign read off its cycles, and its columns grouped by ``_grouped``.
-    It equals the tests' ``sort_entries`` then ``build_decoding_table``,
-    which build a second form and check again what the sort has just made.
+    The sign is the product of the zero-removal and sort signs, the sorted
+    entries key the form's cached expansion, and ``order[k]`` is the
+    0-based variable at sorted position k.  A scalar form has neither:
+    its value is the sign itself (0 for the zero form).
     """
     sign, reduced = form.remove_zeros()
     if reduced is None:
-        return sign, None
+        return sign, None, None
     ent = reduced.entries
     order = sorted(range(len(ent)), key=ent.__getitem__)
-    return sign * _order_sign(order), _grouped(sorted(ent), [i + 1 for i in order])
+    return sign * _order_sign(order), tuple(map(ent.__getitem__, order)), order
+
+
+def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
+    """Sign and decoding table of a form after zero removal and entry sorting.
+
+    ``_sorted_order`` with its columns grouped by ``_grouped``, for the
+    paths that show the variable blocks.  It equals the tests'
+    ``sort_entries`` then ``build_decoding_table``.
+    """
+    sign, key, order = _sorted_order(form)
+    return sign, None if key is None else _grouped(key, [i + 1 for i in order])
 
 
 def expand_rowblocks(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[RowBlock]]:
@@ -279,7 +288,7 @@ def _arrangements(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int],
     return tuple((tuple(map(at, sigma)), sign) for sigma, sign in _signed_permutations(len(powers)))
 
 
-def _expand_multiset(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+def _expand_multiset(entries: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """Integer value of one sorted zero-free form, with sign +1 and keys in block order.
 
     Returns ``(numerators, D)``.  D is the lcm of the terms' ``prod p!``,
@@ -287,11 +296,14 @@ def _expand_multiset(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     vector its alternants produce.  The blocks act on disjoint variables,
     so those vectors are concatenations of one power arrangement per
     block, from the ``_arrangements`` table of each block's powers.  The
-    value depends only on the entry multiset.  Not cached: ``evaluate``
-    reads it through ``_block_expansion``, and the rank proof through a
-    memo of each degree slice's own.  Callers must not mutate the dict.
+    value depends only on the entry multiset, so ``entries`` is the key
+    of every memo of it, and its one decoding table is built here.  Not
+    cached: ``evaluate`` reads it through ``_block_expansion``, and the
+    rank proof through a memo of each degree slice's own.  Callers must
+    not mutate the dict.
     """
-    terms = _walk(values, mults)
+    table = _grouped(entries, range(1, len(entries) + 1))
+    terms = _walk(table.values, table.multiplicities)
     common = math.lcm(*(d for _, _, d in terms))
     acc: dict[tuple[int, ...], int] = {}
     produced = 0
@@ -305,19 +317,18 @@ def _expand_multiset(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     # the terms regroup the Leibniz sum of the zero-free form, in which
     # each exponent vector fixes its permutation, so no key comes twice
     if len(acc) != produced:
-        form = CvForm(v for v, m in zip(values, mults) for _ in range(m))
-        raise ArithmeticError(f"two row-block terms of {form} share a monomial")
+        raise ArithmeticError(f"two row-block terms of {CvForm(entries)} share a monomial")
     return acc, common
 
 
 @lru_cache(maxsize=256)
-def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
+def _block_expansion(entries: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """``_expand_multiset``, the last 256 entry multisets kept.
 
     A run meets few multisets: the N=6 basis has 32, N=7 63 and N=8 127.
     ``evaluate`` reads them here (``verify 6 oracle --seed 1`` evaluates
     559 forms of 139 multisets that are not constants).  A zero-free
-    sorted table takes N entries from 1..N-1, so N=6 has C(10, 6) = 210
+    sorted form takes N entries from 1..N-1, so N=6 has C(10, 6) = 210
     of them: all fit, and a run at N <= 6 builds each expansion once.
     The suites in ``basis`` do not.  In the rank proof a multiset fixes
     the degree and is never met again once its slice is ranked, so
@@ -326,59 +337,44 @@ def _block_expansion(values: tuple[int, ...], mults: tuple[int, ...]) -> tuple[d
     keeps one memo for its run (``_power_sum_memo``).  Callers must not
     mutate the dict.
     """
-    return _expand_multiset(values, mults)
-
-
-def _integer_value(form: CvForm) -> tuple[dict[tuple[int, ...], int], int]:
-    """Value of a form as ``(numerators, D)``: integer coefficients over D.
-
-    The items of the form's ``_FormRow``, copied into a new dict on every
-    call.  No Polynomial or Fraction arithmetic is involved.
-    """
-    row = _FormRow(form)
-    return dict(row.items()), row.denom
+    return _expand_multiset(entries)
 
 
 class _FormRow(Mapping):
     """A form's numerators in variable order, as a read-only view with no dict of its own.
 
     The view reads the block-order ``(numerators, D)`` that ``expand``
-    (``values, mults -> (numerators, D)``) returns for the form's entry
-    multiset; by default the cached one of ``_block_expansion``.  Views of
-    one multiset given one memoized ``expand`` share one dict; ``denom``
-    is its D, and 1 for a scalar or zero form.
-    ``col in row`` and ``row[col]`` move a variable-order key to block
-    order with one ``itemgetter``; iteration moves each key back and
-    applies the sign as it goes.  A nonzero form's first key is its
-    characteristic monomial.  ``items()`` is a single pass.
+    (``sorted entries -> (numerators, D)``) returns for the form's sorted
+    zero-free entries; by default the cached one of ``_block_expansion``.
+    Views of one multiset given one memoized ``expand`` share one dict;
+    ``denom`` is its D, and 1 for a scalar or zero form.
+    ``row[col]`` moves a variable-order key to block order with one
+    ``itemgetter``; iteration moves each key back and applies the sign
+    as it goes.  A nonzero form's first key is its characteristic
+    monomial.  ``items()`` is a single pass.
     """
 
     __slots__ = ("_numerators", "denom", "_sign", "_to_block", "_to_var")
 
     def __init__(self, form: CvForm, expand=None):
         nvars = form.N
-        sign, table = _sorted_table(form)
+        sign, key, order = _sorted_order(form)
         self._to_block = self._to_var = None
-        if table is None:
+        if key is None:
             # a scalar form, or the zero form with no key at all
             self._numerators, self.denom, self._sign = ({(0,) * nvars: sign} if sign else {}), 1, 1
             return
-        self._numerators, self.denom = (expand or _block_expansion)(table.values, table.multiplicities)
+        self._numerators, self.denom = (expand or _block_expansion)(key)
         self._sign = sign
-        # the variable index at each block position; N=1 always reads in place
-        order = [v - 1 for blk in table.blocks for v in blk]
+        # order[k] is the variable at block position k, and its inverse the
+        # block position of each variable; N=1 always reads in place
         if order != list(range(nvars)):
-            position = [0] * nvars
-            for k, v in enumerate(order):
-                position[v] = k
+            position = sorted(range(nvars), key=order.__getitem__)
             self._to_block, self._to_var = itemgetter(*order), itemgetter(*position)
 
     def __getitem__(self, col):
         value = self._numerators[col if self._to_block is None else self._to_block(col)]
         return value if self._sign > 0 else -value
-
-    def __contains__(self, col) -> bool:
-        return (col if self._to_block is None else self._to_block(col)) in self._numerators
 
     def __iter__(self):
         keys = self._numerators.keys()
@@ -408,10 +404,11 @@ class _RowKeys(KeysView):
 def evaluate(form: CvForm) -> Polynomial:
     """Exact polynomial value of a form via the block expansion.
 
-    Wraps the ``(numerators, D)`` of ``_integer_value`` as they are; no
-    work is done per term.
+    Copies the items of the form's ``_FormRow`` into a dict of its own
+    and wraps them over the row's D; no other work is done per term.
     """
-    return Polynomial.from_numerators(form.N, *_integer_value(form))
+    row = _FormRow(form)
+    return Polynomial.from_numerators(form.N, dict(row.items()), row.denom)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect
 from collections.abc import Iterator
-from operator import gt
+from operator import add, gt
 
 from .cvform import CvForm, Record, valid_class
 
@@ -307,22 +307,24 @@ def ribbons_of_degree(n: int, d: int) -> list[Ribbon]:
     return [class_to_ribbon(c) for c in _classes(n) if sum(c) == d]
 
 
-def ribbon_generating_function(n: int) -> dict[tuple[int, int], int]:
-    """Coefficients of prod_{k=1..N-1} (1 + q^k t).
+def ribbon_generating_function(n: int) -> list[list[int]]:
+    """Coefficients of prod_{k=1..N-1} (1 + q^k t), one list per power of t.
 
-    Keyed by (index d, height-1 l); the (d, l) count is the number of
-    ribbons on N boxes with index d occupying l+1 rows.
+    ``rows[l][d]`` counts the ribbons on N boxes with index d on l+1 rows;
+    row l ends at the largest such d.  Each factor adds row l, shifted by
+    k, into row l+1, top row first, in one C-level ``map`` per row.
     """
     if n < 1:
         raise ValueError("need at least one box")
-    coeffs: dict[tuple[int, int], int] = {(0, 0): 1}
+    rows = [[1]]
     for k in range(1, n):
-        nxt = dict(coeffs)
-        for (d, l), c in coeffs.items():
-            key = (d + k, l + 1)
-            nxt[key] = nxt.get(key, 0) + c
-        coeffs = nxt
-    return coeffs
+        rows.append([])
+        for l in range(k - 1, -1, -1):
+            low, high = rows[l], rows[l + 1]
+            # row l + 1 now ends at index len(low) - 1 + k, never earlier
+            high += [0] * (len(low) + k - len(high))
+            high[k:] = map(add, high[k:], low)
+    return rows
 
 
 def _render(r: Ribbon, label) -> str:

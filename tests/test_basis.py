@@ -41,7 +41,7 @@ from cvforms.basis import (
     verify_independence,
 )
 from cvforms.cvform import CvForm, permutation_sign
-from cvforms.laplace import _FormRow, _integer_value, evaluate
+from cvforms.laplace import _FormRow, evaluate, naive_oracle
 from cvforms.poly import Polynomial, sum_of
 from cvforms.ribbon import (
     Ribbon,
@@ -248,10 +248,11 @@ def _renamed_firsts(form: CvForm, images, route: str) -> list:
     return firsts
 
 
-def _alternating_plant(mults) -> dict:
+def _alternating_plant(entries) -> dict:
     # t1^N*t2^(N-1)*...*tN, alternated over the variables of each block of
-    # equal entries in block order: antisymmetric there, as a form's value is
-    exps = range(sum(mults), 0, -1)
+    # equal sorted entries: antisymmetric there, as a form's value is
+    mults = [len(list(run)) for _, run in itertools.groupby(entries)]
+    exps = range(len(entries), 0, -1)
     terms, start = {(): 1}, 0
     for m in mults:
         block = exps[start:start + m]
@@ -280,11 +281,11 @@ class TestHarmonicity:
         """
         plant = {}
 
-        def planted(values, mults):
-            numerators, denom = laplace._expand_multiset(values, mults)
+        def planted(entries):
+            numerators, denom = laplace._expand_multiset(entries)
             if route == "lowered_forms_route":
-                return {**numerators, **_alternating_plant(mults)}, denom
-            if (values, mults) == plant.get("multiset"):
+                return {**numerators, **_alternating_plant(entries)}, denom
+            if entries == plant.get("multiset"):
                 numerators = {**numerators, tuple(range(n, 0, -1)): 1}
             return numerators, denom
 
@@ -297,8 +298,7 @@ class TestHarmonicity:
             form = CvForm(entries)
             if route == "polynomial_route":
                 # the plant moves with the form, so each form gets a memo of its own
-                _, table = laplace._sorted_table(form)
-                plant["multiset"] = None if table is None else (table.values, table.multiplicities)
+                plant["multiset"] = laplace._sorted_order(form)[1]
                 images = basis_module._power_sum_memo()
             firsts = _renamed_firsts(form, images, route)
             assert firsts == reference(form, n - 1), form
@@ -551,23 +551,22 @@ class TestTriangularOrder:
 
     def test_cached_expansions_are_unchanged(self):
         forms = [bf.form for bf in generate_basis(5).forms]
-        tables = [laplace._sorted_table(f)[1] for f in forms]
-        cached = {(t.values, t.multiplicities) for t in tables if t is not None}
-        before = {key: dict(laplace._block_expansion(*key)[0]) for key in cached}
+        cached = {laplace._sorted_order(f)[1] for f in forms} - {None}
+        before = {key: dict(laplace._block_expansion(key)[0]) for key in cached}
         assert verify_independence(generate_basis(5)) == (120, True)
         for d in range(len(q_factorial(5))):
             _certified_rank(_slice_rows(5, d)[::-1])
         for key, numerators in before.items():
-            after = laplace._block_expansion(*key)[0]
+            after = laplace._block_expansion(key)[0]
             assert after == numerators and list(after) == list(numerators), key
 
     def test_each_slice_expands_its_multisets_once_and_leaves_the_cache(self, monkeypatch):
         calls = []
         expand = laplace._expand_multiset
 
-        def spy(values, mults):
-            calls.append((values, mults))
-            return expand(values, mults)
+        def spy(entries):
+            calls.append(entries)
+            return expand(entries)
 
         monkeypatch.setattr(basis_module, "_expand_multiset", spy)
         before = laplace._block_expansion.cache_info()
@@ -577,6 +576,27 @@ class TestTriangularOrder:
         # the degree-0 one is all distinct, a scalar with no expansion
         assert len(calls) == len(set(calls)) == 31
 
+    def test_a_form_finds_its_expansion_by_its_sorted_entries(self, monkeypatch):
+        tables = []
+        init = laplace.DecodingTable.__init__
+
+        def counting(self, values, blocks):
+            tables.append(values)
+            init(self, values, blocks)
+
+        monkeypatch.setattr(laplace.DecodingTable, "__init__", counting)
+        assert rank_suite(6)["ok"]
+        # one table per expanded multiset, none per form: the N=6 basis has
+        # 720 forms, 719 of them not scalar, and 31 multisets to expand
+        assert 0 < len(tables) <= 32
+        # every ordering of one multiset reads the one cached expansion
+        laplace._block_expansion.cache_clear()
+        orderings = set(itertools.permutations((1, 1, 3, 3)))
+        assert len(orderings) == 6
+        for entries in orderings:
+            assert evaluate(CvForm(entries)) == naive_oracle(CvForm(entries)), entries
+        assert laplace._block_expansion.cache_info().misses == 1
+
     def test_a_ranked_slice_holds_no_expansion(self, monkeypatch):
         class Numerators(dict):
             __slots__ = ("__weakref__",)
@@ -584,8 +604,8 @@ class TestTriangularOrder:
         refs = {}
         expand = laplace._expand_multiset
 
-        def spy(values, mults):
-            numerators, common = expand(values, mults)
+        def spy(entries):
+            numerators, common = expand(entries)
             kept = Numerators(numerators)
             refs.setdefault(degree, []).append(weakref.ref(kept))
             return kept, common
@@ -635,7 +655,7 @@ class TestIndependence:
         forms = [CvForm(e) for e in [(2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)]]
         matrix = coefficient_matrix([evaluate(f) for f in forms])
         assert fraction_free_rank(_integer_rows(matrix)) == 3
-        assert _certified_rank(_integer_value(f)[0] for f in forms) == 3
+        assert _certified_rank(evaluate(f).numerators()[0] for f in forms) == 3
         for order in [backward_order(4), (1, 2, 3, 4), (2, 4, 1, 3)]:
             basis = Basis(4, 5, order, tuple(BasisForm(f, None) for f in forms))
             assert verify_independence(basis) == (3, False), order

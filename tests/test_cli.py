@@ -325,11 +325,11 @@ class TestVerify:
     def test_harmonic_broken_kernel_names_a_witness(self, capsys, monkeypatch):
         real = basis._expand_multiset
 
-        def flipped(values, mults):
+        def flipped(entries):
             # the representative [1 2 2] of the multiset {1, 2, 2} is
             # t1*t2 - t1*t3 - 1/2*t2^2 + 1/2*t3^2; flip its t2^2 coefficient
-            numerators, denom = real(values, mults)
-            if (values, mults) == ((1, 2), (1, 2)):
+            numerators, denom = real(entries)
+            if entries == (1, 2, 2):
                 numerators = {**numerators, (0, 2, 0): -numerators[(0, 2, 0)]}
             return numerators, denom
 

@@ -20,7 +20,6 @@ from cvforms.cvform import CvForm, permutation_sign
 from cvforms.laplace import (
     RowBlock,
     _FormRow,
-    _integer_value,
     _order_key,
     build_decoding_table,
     characteristic_exponents,
@@ -340,12 +339,14 @@ class TestOraclesAgainstLeibniz:
     @pytest.mark.parametrize("oracle", [naive_oracle, derivative_oracle])
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
-        assert not names & {"expand_rowblocks", "_walk", "_block_expansion", "_integer_value", "_FormRow", "evaluate"}
-        assert not names & {"_sorted_table", "remove_zeros", "_grouped", "characteristic_exponents"}
+        assert not names & {"expand_rowblocks", "_walk", "_block_expansion", "_FormRow", "evaluate"}
+        assert not names & {"_sorted_order", "_sorted_table", "remove_zeros", "_grouped", "characteristic_exponents"}
         # the walk does find the enumerator where it is used
-        assert {"_walk", "_block_expansion", "_integer_value", "_FormRow"} <= _laplace_names(evaluate)
+        assert {"_walk", "_block_expansion", "_FormRow"} <= _laplace_names(evaluate)
         assert "_walk" in _laplace_names(expand_rowblocks)
-        assert {"_sorted_table", "remove_zeros", "_grouped"} <= _laplace_names(evaluate)
+        assert {"_sorted_order", "remove_zeros", "_grouped"} <= _laplace_names(evaluate)
+        # a form's value is found by its sorted entries, with no table of its own
+        assert "_sorted_table" not in _laplace_names(evaluate)
 
     def test_oracles_share_no_helper(self):
         naive = _laplace_names(naive_oracle)
@@ -486,27 +487,27 @@ class TestIntegerKernel:
     def test_exhaustive_four_against_both_oracles(self):
         for entries in itertools.product(range(4), repeat=4):
             f = CvForm(entries)
-            numerators, denom = _integer_value(f)
+            numerators, denom = evaluate(f).numerators()
             assert all(isinstance(c, int) and c for c in numerators.values())
             value = Polynomial(4, {e: Fraction(c, denom) for e, c in numerators.items()})
             assert value == naive_oracle(f) == derivative_oracle(f)
 
     def test_denominator_is_lcm_of_rowblock_factorials(self):
         # [2 2 3 3] has row-blocks +|2 1|1 0|, -|2 0|2 0| and +|1 0|3 0|
-        numerators, denom = _integer_value(CvForm((2, 2, 3, 3)))
+        numerators, denom = evaluate(CvForm((2, 2, 3, 3))).numerators()
         assert denom == math.lcm(2, 4, 6)
         # t1*t3^3 comes only from +|1 0|3 0|, worth 1/(1!0!3!0!) = 2/12
         assert numerators[(1, 0, 3, 0)] == 2
 
     def test_zero_form(self):
-        assert _integer_value(CvForm((0, 0, 3, 3))) == ({}, 1)
+        assert evaluate(CvForm((0, 0, 3, 3))).numerators() == ({}, 1)
 
     def test_every_reading_at_four_against_naive_oracle(self):
         # the readings of one ribbon share an entry multiset and differ in
         # position and sign
         for order in itertools.permutations(range(1, 5)):
             for bf in generate_basis(4, None, order).forms:
-                numerators, denom = _integer_value(bf.form)
+                numerators, denom = evaluate(bf.form).numerators()
                 value = Polynomial.from_numerators(4, numerators, denom)
                 assert value == naive_oracle(bf.form), (order, bf.form)
 
@@ -514,7 +515,7 @@ class TestIntegerKernel:
     def test_every_permutation_of_one_multiset_against_naive_oracle(self, entries):
         for perm in sorted(set(itertools.permutations(entries))):
             f = CvForm(perm)
-            numerators, denom = _integer_value(f)
+            numerators, denom = evaluate(f).numerators()
             assert Polynomial.from_numerators(4, numerators, denom) == naive_oracle(f), f
 
     def test_returned_numerators_are_the_callers_own(self):
@@ -522,28 +523,28 @@ class TestIntegerKernel:
         forms = [CvForm(e) for e in ((2, 2, 3, 3), (3, 3, 2, 2), (2, 3, 2, 3))]
         expect = [naive_oracle(f) for f in forms]
         for f in forms:
-            numerators, _ = _integer_value(f)
+            numerators, _ = evaluate(f).numerators()
             for key in list(numerators):
                 numerators[key] *= 7
             numerators[(9, 9, 9, 9)] = 1
             for g, value in zip(forms, expect):
-                assert Polynomial.from_numerators(4, *_integer_value(g)) == value, (f, g)
+                assert Polynomial.from_numerators(4, *evaluate(g).numerators()) == value, (f, g)
 
     def test_exhaustive_five_against_naive_oracle(self):
         for entries in itertools.product(range(5), repeat=5):
             f = CvForm(entries)
-            numerators, denom = _integer_value(f)
+            numerators, denom = evaluate(f).numerators()
             assert Polynomial.from_numerators(5, numerators, denom) == naive_oracle(f), f
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_value_as_the_sorted_rowblock_kernel(self, n):
         for entries in itertools.product(range(n), repeat=n):
             f = CvForm(entries)
-            assert _integer_value(f) == _frozen_integer_value(f), f
+            assert evaluate(f).numerators() == _frozen_integer_value(f), f
 
     def test_same_value_as_the_sorted_rowblock_kernel_on_the_six_basis(self):
         for bf in generate_basis(6).forms:
-            assert _integer_value(bf.form) == _frozen_integer_value(bf.form), bf.form
+            assert evaluate(bf.form).numerators() == _frozen_integer_value(bf.form), bf.form
 
 
 def _all_forms(max_n: int):
@@ -556,7 +557,7 @@ class TestFormRow:
     def test_equals_the_integer_value_on_every_form_to_four(self):
         kinds = collections.Counter()
         for f in _all_forms(4):
-            expect, _ = _integer_value(f)
+            expect, _ = evaluate(f).numerators()
             row = _FormRow(f)
             assert dict(row) == dict(row.items()) == expect, f
             assert row == expect and expect == row, f
@@ -591,8 +592,7 @@ class TestFormRow:
         row = _FormRow(f)
         with pytest.raises(TypeError):
             row[next(iter(row))] = 0
-        _, table = laplace._sorted_table(f)
-        assert row._numerators is laplace._block_expansion(table.values, table.multiplicities)[0]
+        assert row._numerators is laplace._block_expansion((2, 2, 3, 3))[0]
 
     def test_first_column_is_the_characteristic_monomial(self):
         # the triangular order of the rank proof sorts rows by it

@@ -373,22 +373,31 @@ class TestCounting:
             assert census == mahon
 
     def test_generating_function_diagonal_sums(self):
-        # summing the (d, l) table over l gives the number of ribbons per d
+        # summing the rows of the table gives the number of ribbons per d
         for n in range(1, 13):
-            per_degree: dict[int, int] = {}
-            for (d, _l), c in ribbon_generating_function(n).items():
-                per_degree[d] = per_degree.get(d, 0) + c
-            assert sorted(per_degree) == list(range(n * (n - 1) // 2 + 1))
-            for d, c in per_degree.items():
+            rows = ribbon_generating_function(n)
+            per_degree = [sum(row[d] for row in rows if d < len(row)) for d in range(len(rows[-1]))]
+            assert len(per_degree) == n * (n - 1) // 2 + 1
+            for d, c in enumerate(per_degree):
                 assert c == len(ribbons_of_degree(n, d)), (n, d)
-            assert sum(per_degree.values()) == 2 ** (n - 1)
+            assert sum(per_degree) == 2 ** (n - 1)
 
     def test_generating_function_matches_heights(self):
-        gf = ribbon_generating_function(8)
-        q16 = {l: c for (d, l), c in gf.items() if d == 16}
+        rows = ribbon_generating_function(8)
+        q16 = {l: row[16] for l, row in enumerate(rows) if len(row) > 16 and row[16]}
         assert q16 == {5: 1, 4: 5, 3: 2}
-        q12 = {l: c for (d, l), c in gf.items() if d == 12}
+        q12 = {l: row[12] for l, row in enumerate(rows) if len(row) > 12 and row[12]}
         assert q12 == {4: 2, 3: 5, 2: 1}
+
+    def test_generating_function_matches_the_dict_recurrence(self):
+        for n in range(1, 41):
+            rows = ribbon_generating_function(n)
+            assert len(rows) == n, n
+            table = {(d, l): c for l, row in enumerate(rows) for d, c in enumerate(row) if c}
+            assert table == _dict_generating_function(n), n
+            # row l ends at its largest index, the sum of the l largest k
+            assert [len(row) for row in rows] == [l * (2 * n - l - 1) // 2 + 1 for l in range(n)], n
+            assert sum(map(sum, rows)) == 2 ** (n - 1), n
 
     def test_height_bounds(self):
         # with l one less than the height, the index d of an N-box ribbon
@@ -445,3 +454,16 @@ def _ribbon_walk(falls) -> Ribbon:
         k, c = boxes[0]
         boxes.insert(0, (k + 1, c) if fall else (k, c - 1))
     return Ribbon(tuple(boxes))
+
+
+def _dict_generating_function(n: int) -> dict[tuple[int, int], int]:
+    # the (index d, height-1 l) table of prod_k (1 + q^k t) as the dict
+    # recurrence computed it: one dict.get per entry and factor
+    coeffs = {(0, 0): 1}
+    for k in range(1, n):
+        nxt = dict(coeffs)
+        for (d, l), c in coeffs.items():
+            key = (d + k, l + 1)
+            nxt[key] = nxt.get(key, 0) + c
+        coeffs = nxt
+    return coeffs
