@@ -312,17 +312,18 @@ def cmd_count(args) -> dict:
     # generating function of ribbon indices and heights
     rows = ribbon_generating_function(n)
     if args.at is not None:
-        at = args.at[2:] if args.at.startswith("q^") else args.at
-        degrees = [int(at)]
+        at = int(args.at[2:] if args.at.startswith("q^") else args.at)
+        degrees = range(at, at + 1)
     else:
         # the last row ends at the top index, and every index up to it has ribbons
         degrees = range(len(rows[-1]))
-    # each degree's column of the table, highest power of t first
-    powers = range(len(rows) - 1, -1, -1)
-    record["gf"] = [
-        {"q": d, "t": [{"power": l, "coeff": rows[l][d]} for l in powers if 0 <= d < len(rows[l]) and rows[l][d]]}
-        for d in degrees
-    ]
+    # each degree's column, highest power of t first; row l is nonzero from index 1 + ... + l on
+    columns = [[] for _ in degrees]
+    for l in range(len(rows) - 1, -1, -1):
+        row = rows[l]
+        for d in range(max(l * (l + 1) // 2, degrees.start), min(len(row), degrees.stop)):
+            columns[d - degrees.start].append({"power": l, "coeff": row[d]})
+    record["gf"] = [{"q": d, "t": t} for d, t in zip(degrees, columns)]
     return record
 
 

@@ -6,13 +6,13 @@ signed sum of products of minors, one minor per block; each minor is an
 alternant with strictly decreasing row powers, so a term is recorded as a
 "row-block" such as ``|2 1|2 0|2 0|``.
 
-The decoding table makes the admissible terms directly enumerable: it has
-one descending run ``a, a-1, ..., 0`` per distinct entry value ``a``, laid
-out under the N column positions.  Picking, row by row, a set of unused
-column positions (as many as the value's multiplicity) yields exactly the
-non-vanishing row-blocks; the powers are the run cells at the picked
-columns, and the sign is the sign of the picked-position permutation.
-Everything here is exact; no floating point is involved.
+The paper's decoding table has one descending run ``a, a-1, ..., 0`` per
+distinct entry ``a`` under the N column positions, and the sorted entries
+hold it: a value and its multiplicity per run.  Picking, row by row, a set
+of unused column positions (as many as the value's multiplicity) yields
+exactly the non-vanishing row-blocks; the powers are the run cells at the
+picked columns, and the sign is the sign of the picked-position
+permutation.  Everything here is exact; no floating point is involved.
 """
 
 from __future__ import annotations
@@ -26,58 +26,6 @@ from operator import itemgetter, le, neg
 
 from .cvform import CvForm, Record, permutation_sign
 from .poly import Polynomial
-
-
-class DecodingTable(Record):
-    """Descending power runs of a sorted zero-free form.
-
-    ``values`` are the distinct entries ascending, ``blocks`` the variable
-    labels of the equal-entry column groups.  Row ``j`` of the table is the
-    run ``values[j], values[j]-1, ..., 0`` under column positions 1, 2, ...
-    """
-
-    __slots__ = _fields = ("values", "blocks")
-
-    def __init__(self, values: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        self.values = values
-        self.blocks = blocks
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(map(len, self.blocks))
-
-
-def _grouped(entries, labels) -> DecodingTable:
-    # one pass over nondecreasing entries: each new value opens a block, and
-    # the label of every column joins the block of its value
-    values: list[int] = []
-    blocks: list[list[int]] = []
-    for e, label in zip(entries, labels):
-        if values and e == values[-1]:
-            blocks[-1].append(label)
-        else:
-            values.append(e)
-            blocks.append([label])
-    return DecodingTable(tuple(values), tuple(map(tuple, blocks)))
-
-
-def build_decoding_table(form: CvForm, variables=None) -> DecodingTable:
-    """Decoding table of a nondecreasing zero-free form.
-
-    ``variables`` optionally relabels the columns (1-based), as needed
-    after a stable sort moved them; defaults to ``1..N`` in place.  The
-    validated entry for outside input; ``_sorted_table`` builds the same
-    table from an order it has just made.
-    """
-    ent = form.entries
-    if any(a > b for a, b in zip(ent, ent[1:])):
-        raise ValueError(f"{form} is not sorted nondecreasing")
-    if 0 in ent:
-        raise ValueError(f"{form} has zero entries, apply remove_zeros first")
-    labels = tuple(variables) if variables is not None else tuple(range(1, form.N + 1))
-    if sorted(labels) != list(range(1, form.N + 1)):
-        raise ValueError(f"variable labels {labels} are not a permutation of 1..{form.N}")
-    return _grouped(ent, labels)
 
 
 class RowBlock(Record):
@@ -125,9 +73,10 @@ def _constant_rowblock(form: CvForm, sign: int) -> RowBlock:
     return RowBlock(tuple((0,) for _ in range(form.N)), groups, sign)
 
 
-def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
-    """Admissible terms of the decoding table of one sorted zero-free form.
+def _walk(entries: tuple[int, ...]) -> list[tuple]:
+    """Admissible terms of one sorted zero-free form, read off its entries.
 
+    A run of m entries ``a`` picks m columns of the table's run under ``a``.
     Each term is ``(powers, odd, denom)``: the strictly decreasing powers
     of every block's minor, the parity of the picked-column permutation
     and ``prod p!`` over all powers.  The parity is counted while the
@@ -138,16 +87,17 @@ def _walk(values: tuple[int, ...], mults: tuple[int, ...]) -> list[tuple]:
     The recursion drops its reference to itself when the walk is done, so
     it leaves no reference cycle and its partial lists are freed at return.
     """
-    n = sum(mults)
+    n = len(entries)
+    runs = [(a, len(list(run))) for a, run in itertools.groupby(entries)]
     fact = [math.factorial(p) for p in range(n)]
-    last = len(values) - 1
+    last = len(runs) - 1
     terms: list[tuple] = []
 
     def rec(available: list[int], j: int, powers: tuple, parity: int, denom: int) -> None:
-        a = values[j]
+        a, m = runs[j]
         size = len(available)
         legal = bisect.bisect_right(available, a + 1)
-        for combo in itertools.combinations(range(legal), mults[j]):
+        for combo in itertools.combinations(range(legal), m):
             flips = parity
             run_denom = denom
             run = []
@@ -200,37 +150,29 @@ def _sorted_order(form: CvForm) -> tuple[int, tuple[int, ...] | None, list[int] 
     return sign * _order_sign(order), tuple(map(ent.__getitem__, order)), order
 
 
-def _sorted_table(form: CvForm) -> tuple[int, DecodingTable | None]:
-    """Sign and decoding table of a form after zero removal and entry sorting.
-
-    ``_sorted_order`` with its columns grouped by ``_grouped``, for the
-    paths that show the variable blocks.  It equals the tests'
-    ``sort_entries`` then ``build_decoding_table``.
-    """
-    sign, key, order = _sorted_order(form)
-    return sign, None if key is None else _grouped(key, [i + 1 for i in order])
+def _cut_at_runs(entries: tuple[int, ...], items) -> tuple[tuple, ...]:
+    # ``items``, one per sorted entry, cut into one block per run of equal entries
+    rest = iter(items)
+    return tuple(tuple(next(rest) for _ in run) for _, run in itertools.groupby(entries))
 
 
 def expand_rowblocks(form: CvForm) -> tuple[tuple[tuple[int, ...], ...], list[RowBlock]]:
     """Variable groups and signed row-blocks of a form, largest first in row-block order.
 
-    The decoding-table walk of the module docstring.  Each group carries a
-    common Vandermonde factor on its variables and is the
-    ``var_partition`` of every row-block.  Zero removal and entry sorting
-    are applied internally and their signs folded into each term.  The
-    zero form has no groups and no terms.
+    The walk of the module docstring.  Each group carries a common
+    Vandermonde factor on its variables and is the ``var_partition`` of
+    every row-block.  Zero removal and entry sorting are applied
+    internally and their signs folded into each term.  The zero form has
+    no groups and no terms.
     """
-    sign, table = _sorted_table(form)
-    if table is None:
+    sign, key, order = _sorted_order(form)
+    if key is None:
         if sign == 0:
             return (), []
         rb = _constant_rowblock(form, sign)
         return rb.var_partition, [rb]
-    groups = table.blocks
-    rowblocks = [
-        RowBlock(powers, groups, -sign if odd else sign)
-        for powers, odd, _ in _walk(table.values, table.multiplicities)
-    ]
+    groups = _cut_at_runs(key, [i + 1 for i in order])
+    rowblocks = [RowBlock(powers, groups, -sign if odd else sign) for powers, odd, _ in _walk(key)]
     # powers never exceed N - 1
     rowblocks.sort(key=lambda rb: _order_key(rb.entries(), form.N), reverse=True)
     return groups, rowblocks
@@ -291,19 +233,17 @@ def _arrangements(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int],
 def _expand_multiset(entries: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """Integer value of one sorted zero-free form, with sign +1 and keys in block order.
 
-    Returns ``(numerators, D)``.  D is the lcm of the terms' ``prod p!``,
-    so a term puts ``(-1)^odd * D/prod p! * sign(sigma)`` at each exponent
-    vector its alternants produce.  The blocks act on disjoint variables,
-    so those vectors are concatenations of one power arrangement per
-    block, from the ``_arrangements`` table of each block's powers.  The
-    value depends only on the entry multiset, so ``entries`` is the key
-    of every memo of it, and its one decoding table is built here.  Not
-    cached: ``evaluate`` reads it through ``_block_expansion``, and the
-    rank proof through a memo of each degree slice's own.  Callers must
-    not mutate the dict.
+    Returns ``(numerators, D)``.  D is the lcm of the terms' ``prod p!``, so a
+    term puts ``(-1)^odd * D/prod p! * sign(sigma)`` at each exponent vector
+    its alternants produce.  The blocks act on disjoint variables, so those
+    vectors are concatenations of one power arrangement per block, from the
+    ``_arrangements`` table of each block's powers.  The value depends only on
+    the entry multiset, so ``entries`` is the key of every memo of it and all
+    that ``_walk`` reads.  Not cached: ``evaluate`` reads it through
+    ``_block_expansion``, and the rank proof through a memo of each degree
+    slice's own.  Callers must not mutate the dict.
     """
-    table = _grouped(entries, range(1, len(entries) + 1))
-    terms = _walk(table.values, table.multiplicities)
+    terms = _walk(entries)
     common = math.lcm(*(d for _, _, d in terms))
     acc: dict[tuple[int, ...], int] = {}
     produced = 0
@@ -348,16 +288,16 @@ class _FormRow(Mapping):
     zero-free entries; by default the cached one of ``_block_expansion``.
     Views of one multiset given one memoized ``expand`` share one dict;
     ``denom`` is its D, and 1 for a scalar or zero form.
-    ``row[col]`` moves a variable-order key to block order with one
-    ``itemgetter``; iteration moves each key back and applies the sign
-    as it goes.  A nonzero form's first key is its characteristic
-    monomial.  ``items()`` is a single pass.
+    ``row[col]`` moves a variable-order key of length N (any other is
+    absent) to block order with one ``itemgetter``; iteration moves each
+    key back and applies the sign as it goes.  A nonzero form's first key
+    is its characteristic monomial.  ``items()`` is a single pass.
     """
 
-    __slots__ = ("_numerators", "denom", "_sign", "_to_block", "_to_var")
+    __slots__ = ("_numerators", "denom", "_sign", "_nvars", "_to_block", "_to_var")
 
     def __init__(self, form: CvForm, expand=None):
-        nvars = form.N
+        self._nvars = nvars = form.N
         sign, key, order = _sorted_order(form)
         self._to_block = self._to_var = None
         if key is None:
@@ -373,7 +313,12 @@ class _FormRow(Mapping):
             self._to_block, self._to_var = itemgetter(*order), itemgetter(*position)
 
     def __getitem__(self, col):
-        value = self._numerators[col if self._to_block is None else self._to_block(col)]
+        if self._to_block is not None:
+            # the itemgetter would cut a longer key to N slots and fail on a shorter one
+            if len(col) != self._nvars:
+                raise KeyError(col)
+            col = self._to_block(col)
+        value = self._numerators[col]
         return value if self._sign > 0 else -value
 
     def __iter__(self):
@@ -392,13 +337,20 @@ class _FormRow(Mapping):
 
 
 class _RowKeys(KeysView):
-    # isdisjoint probes the given columns in C, one cached-dict lookup each
+    # isdisjoint probes the given columns in C, one cached-dict lookup each.
+    # The itemgetter fails on a column shorter than N and cuts a longer one to
+    # N slots, so a failure or a hit is checked again through the row's lookup.
     __slots__ = ()
 
     def isdisjoint(self, cols) -> bool:
         row = self._mapping
-        keys = row._numerators.keys()
-        return keys.isdisjoint(cols if row._to_block is None else map(row._to_block, cols))
+        cols = tuple(cols)
+        try:
+            if row._numerators.keys().isdisjoint(cols if row._to_block is None else map(row._to_block, cols)):
+                return True
+        except IndexError:
+            pass
+        return not any(map(row.__contains__, cols))
 
 
 def evaluate(form: CvForm) -> Polynomial:
@@ -581,27 +533,29 @@ def diagonal_rowblock(form: CvForm) -> RowBlock:
     block, which is the leading row-block whenever the form is regular.
     Raises for forms whose expansion is empty (vanishing determinants).
     """
-    sign, table = _sorted_table(form)
-    if table is None:
+    sign, key, order = _sorted_order(form)
+    if key is None:
         if sign == 0:
             raise ValueError(f"{form} is the zero form, it has no row-blocks")
         return _constant_rowblock(form, sign)
+    groups = _cut_at_runs(key, [i + 1 for i in order])
     blocks: list[tuple[int, ...]] = []
     col = 1
-    for a, m in zip(table.values, table.multiplicities):
+    for group in groups:
+        a, m = key[col - 1], len(group)
         if a + 1 < col + m - 1:
             raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")
         blocks.append(tuple(a - c + 1 for c in range(col, col + m)))
         col += m
-    return RowBlock(tuple(blocks), table.blocks, sign)
+    return RowBlock(tuple(blocks), groups, sign)
 
 
 def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
     """Exponents of the diagonal monomial of ``diagonal_rowblock(form)``, in O(N).
 
     After zero removal the staircase gives each variable its entry minus its
-    stable rank, the type of the reduced form (``CvForm.type_of``).  No sign,
-    decoding table or row-block is built; raises where ``diagonal_rowblock`` does.
+    stable rank, the type of the reduced form (``CvForm.type_of``).  No sort
+    sign, variable block or row-block is built; raises where ``diagonal_rowblock`` does.
     """
     sign, reduced = form.remove_zeros()
     if reduced is None:

@@ -577,18 +577,18 @@ class TestTriangularOrder:
         assert len(calls) == len(set(calls)) == 31
 
     def test_a_form_finds_its_expansion_by_its_sorted_entries(self, monkeypatch):
-        tables = []
-        init = laplace.DecodingTable.__init__
+        walks = []
+        walk = laplace._walk
 
-        def counting(self, values, blocks):
-            tables.append(values)
-            init(self, values, blocks)
+        def counting(entries):
+            walks.append(entries)
+            return walk(entries)
 
-        monkeypatch.setattr(laplace.DecodingTable, "__init__", counting)
+        monkeypatch.setattr(laplace, "_walk", counting)
         assert rank_suite(6)["ok"]
-        # one table per expanded multiset, none per form: the N=6 basis has
+        # one walk per expanded multiset, none per form: the N=6 basis has
         # 720 forms, 719 of them not scalar, and 31 multisets to expand
-        assert 0 < len(tables) <= 32
+        assert 0 < len(walks) <= 32
         # every ordering of one multiset reads the one cached expansion
         laplace._block_expansion.cache_clear()
         orderings = set(itertools.permutations((1, 1, 3, 3)))

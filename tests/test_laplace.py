@@ -21,7 +21,6 @@ from cvforms.laplace import (
     RowBlock,
     _FormRow,
     _order_key,
-    build_decoding_table,
     characteristic_exponents,
     derivative_oracle,
     diagonal_rowblock,
@@ -32,7 +31,7 @@ from cvforms.laplace import (
     rowblock_value,
 )
 from cvforms.poly import Polynomial
-from rowblock_slow_path import characteristic_monomial, leading_rowblock, sort_entries
+from rowblock_slow_path import characteristic_monomial, decoding_table, leading_rowblock, sort_entries
 
 
 def leibniz_det(form: CvForm) -> Polynomial:
@@ -58,32 +57,34 @@ def leibniz_det(form: CvForm) -> Polynomial:
 
 
 class TestDecodingTable:
+    """The table's rows are the runs of the sorted entries and its column
+    groups the variables under them; the frozen reference keeps the checks
+    of its input."""
+
     def test_small(self):
-        t = build_decoding_table(CvForm((2, 2, 3, 3)))
-        assert t.values == (2, 3)
-        assert t.blocks == ((1, 2), (3, 4))
-        assert t.multiplicities == (2, 2)
+        assert decoding_table(CvForm((2, 2, 3, 3))) == ((2, 3), ((1, 2), (3, 4)))
+        assert laplace._cut_at_runs((2, 2, 3, 3), (1, 2, 3, 4)) == ((1, 2), (3, 4))
 
     def test_six_variables(self):
-        t = build_decoding_table(CvForm((2, 2, 4, 4, 5, 5)))
-        assert t.values == (2, 4, 5)
-        assert t.blocks == ((1, 2), (3, 4), (5, 6))
+        assert decoding_table(CvForm((2, 2, 4, 4, 5, 5))) == ((2, 4, 5), ((1, 2), (3, 4), (5, 6)))
+        assert laplace._cut_at_runs((2, 2, 4, 4, 5, 5), range(1, 7)) == ((1, 2), (3, 4), (5, 6))
 
     def test_relabeled_columns(self):
-        t = build_decoding_table(CvForm((1, 2, 2, 3)), variables=(4, 2, 3, 1))
-        assert t.blocks == ((4,), (2, 3), (1,))
+        blocks = ((4,), (2, 3), (1,))
+        assert decoding_table(CvForm((1, 2, 2, 3)), variables=(4, 2, 3, 1))[1] == blocks
+        assert laplace._cut_at_runs((1, 2, 2, 3), (4, 2, 3, 1)) == blocks
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            build_decoding_table(CvForm((3, 2, 2, 3)))
+            decoding_table(CvForm((3, 2, 2, 3)))
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
-            build_decoding_table(CvForm((0, 1, 2, 3)))
+            decoding_table(CvForm((0, 1, 2, 3)))
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
-            build_decoding_table(CvForm((2, 2, 3, 3)), variables=(1, 1, 2, 3))
+            decoding_table(CvForm((2, 2, 3, 3)), variables=(1, 1, 2, 3))
 
 
 FULL_SIX = [
@@ -340,13 +341,13 @@ class TestOraclesAgainstLeibniz:
     def test_oracles_avoid_the_block_expansion(self, oracle):
         names = _laplace_names(oracle)
         assert not names & {"expand_rowblocks", "_walk", "_block_expansion", "_FormRow", "evaluate"}
-        assert not names & {"_sorted_order", "_sorted_table", "remove_zeros", "_grouped", "characteristic_exponents"}
+        assert not names & {"_sorted_order", "_cut_at_runs", "remove_zeros", "characteristic_exponents"}
         # the walk does find the enumerator where it is used
         assert {"_walk", "_block_expansion", "_FormRow"} <= _laplace_names(evaluate)
-        assert "_walk" in _laplace_names(expand_rowblocks)
-        assert {"_sorted_order", "remove_zeros", "_grouped"} <= _laplace_names(evaluate)
-        # a form's value is found by its sorted entries, with no table of its own
-        assert "_sorted_table" not in _laplace_names(evaluate)
+        assert {"_walk", "_cut_at_runs"} <= _laplace_names(expand_rowblocks)
+        assert {"_sorted_order", "remove_zeros"} <= _laplace_names(evaluate)
+        # a form's value is found by its sorted entries, with no variable blocks of its own
+        assert "_cut_at_runs" not in _laplace_names(evaluate)
 
     def test_oracles_share_no_helper(self):
         naive = _laplace_names(naive_oracle)
@@ -476,7 +477,7 @@ class TestOracleLayer:
             for f in forms:
                 naive_oracle(f)
                 derivative_oracle(f)
-            laplace._walk((1, 3, 4), (2, 2, 1))
+            laplace._walk((1, 1, 3, 3, 4))
             laplace._integer_vandermonde.__wrapped__(5)
             assert gc.collect() == 0
         finally:
@@ -587,6 +588,22 @@ class TestFormRow:
                 assert row.keys().isdisjoint(probe) == cols.isdisjoint(probe), (f, probe)
                 assert set(row.keys()) == cols
 
+    def test_a_key_of_another_length_is_absent(self):
+        # the stable order moves [3 3 2 2]'s keys; a longer key must not be cut to N slots
+        row = _FormRow(CvForm((3, 3, 2, 2)))
+        lead = next(iter(row))
+        for key in (lead + (0,), (1, 0, 2, 1, 0), lead[:2], (1, 0), ()):
+            assert key not in row and row.get(key, "d") == "d", key
+            with pytest.raises(KeyError):
+                row[key]
+            assert row.keys().isdisjoint([key]), key
+        assert lead in row and not row.keys().isdisjoint([(1, 0), lead, lead + (0,)])
+        for f in (CvForm((1, 2, 2, 3)), CvForm((2, 0, 1)), CvForm((0, 0, 3, 3))):
+            # rows read in place, the scalar and the zero form alike
+            row = _FormRow(f)
+            assert (1, 0, 2, 1, 0) not in row and row.get((1, 0), "d") == "d", f
+            assert row.keys().isdisjoint([(1, 0), (1, 0, 2, 1, 0)]), f
+
     def test_view_is_read_only_and_shares_the_cached_dict(self):
         f = CvForm((3, 3, 2, 2))
         row = _FormRow(f)
@@ -620,8 +637,8 @@ def _frozen_expand_rowblocks(form: CvForm):
         groups = tuple((i + 1,) for i in order)
         return groups, [RowBlock(((0,),) * n, groups, sign0)]
     sorted_form, perm, sort_sign = sort_entries(reduced)
-    table = build_decoding_table(sorted_form, perm)
-    groups, values, mults = table.blocks, table.values, table.multiplicities
+    values, groups = decoding_table(sorted_form, perm)
+    mults = tuple(map(len, groups))
     terms = []
 
     def rec(available, picked, powers, j):
@@ -682,7 +699,7 @@ class TestRowBlockEnumerator:
 
     def test_terms_carry_the_factorial_denominator(self):
         # the walk of [2 2 3 3]: (powers, parity of the picked columns, prod p!)
-        assert sorted(laplace._walk((2, 3), (2, 2))) == [
+        assert sorted(laplace._walk((2, 2, 3, 3))) == [
             (((1, 0), (3, 0)), 0, 6),
             (((2, 0), (2, 0)), 1, 4),
             (((2, 1), (1, 0)), 0, 2),
@@ -868,21 +885,28 @@ class TestLeibnizSupport:
 
 
 def _chained_table(form: CvForm):
-    """The validated chain that ``_sorted_table`` replaces: a second form
-    from ``sort_entries`` and every check of ``build_decoding_table``."""
+    """The validated chain that ``_sorted_order`` and ``_cut_at_runs``
+    replace: a second form from ``sort_entries`` and every check of the
+    frozen ``decoding_table``."""
     sign, reduced = form.remove_zeros()
     if reduced is None:
         return sign, None
     sorted_form, perm, sort_sign = sort_entries(reduced)
-    return sign * sort_sign, build_decoding_table(sorted_form, perm)
+    return sign * sort_sign, decoding_table(sorted_form, perm)
 
 
 class TestSortedTable:
     def test_one_pass_equals_the_validated_chain(self):
         signs = collections.Counter()
         for f in _all_forms(5):
-            sign, table = laplace._sorted_table(f)
-            assert (sign, table) == _chained_table(f), f
+            sign, key, order = laplace._sorted_order(f)
+            chained_sign, table = _chained_table(f)
+            assert sign == chained_sign and (key is None) == (table is None), f
+            if table is not None:
+                values, blocks = table
+                # the sorted entries repeat each distinct value once per variable of its block
+                assert key == tuple(v for v, blk in zip(values, blocks) for _ in blk), f
+                assert laplace._cut_at_runs(key, [i + 1 for i in order]) == blocks, f
             signs[sign, table is None] += 1
         # both signs with a table, both scalars and the zero form
         assert set(signs) == {(1, False), (-1, False), (1, True), (-1, True), (0, True)}

@@ -16,7 +16,7 @@ import pytest
 
 from cvforms.basis import Basis, BasisForm, CoefficientMatrix
 from cvforms.cvform import CvForm, Record
-from cvforms.laplace import DecodingTable, RowBlock
+from cvforms.laplace import RowBlock
 from cvforms.ribbon import Ribbon, SkewPartition, SkewTableau
 
 SRC = Path(__file__).parents[1] / "src"
@@ -27,7 +27,6 @@ RECORDS = {
     Ribbon: (lambda: Ribbon(((1, 1), (0, 1))), lambda: Ribbon(((0, 0), (0, 1)))),
     SkewPartition: (lambda: SkewPartition((2, 1), (1,)), lambda: SkewPartition((2, 1), ())),
     SkewTableau: (lambda: SkewTableau(COLUMN, (2, 1)), lambda: SkewTableau(ROW, (1, 2))),
-    DecodingTable: (lambda: DecodingTable((1, 2), ((1,), (2, 3))), lambda: DecodingTable((1, 2), ((2,), (1, 3)))),
     RowBlock: (lambda: RowBlock(((1, 0),), ((1, 2),), -1), lambda: RowBlock(((1, 0),), ((1, 2),), 1)),
     BasisForm: (
         lambda: BasisForm(CvForm((1, 1)), SkewTableau(COLUMN, (2, 1))),
