@@ -176,11 +176,15 @@ class CvForm:
         equal columns), and all-distinct entries give the sign of the
         permutation sorting them (triangular determinant up to column
         order).
+
+        A zero-free form is ``(1, self)``, decided by the zero test alone:
+        its N entries take at most the N-1 values 1..N-1, so one repeats
+        and the form is no scalar.
         """
         ent = self.entries
+        if 0 not in ent:
+            return 1, self
         n = len(ent)
-        if 0 not in ent and len(set(ent)) < n:
-            return 1, self  # zero-free and not a scalar: the form is its own terminal
         r = next((v for v in range(n) if ent.count(v) != 1), None)
         if r is None:
             # the entries are a permutation of 0..N-1, with the sign of its inverse

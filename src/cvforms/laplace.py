@@ -288,7 +288,7 @@ class _FormRow(Mapping):
     zero-free entries; by default the cached one of ``_block_expansion``.
     Views of one multiset given one memoized ``expand`` share one dict;
     ``denom`` is its D, and 1 for a scalar or zero form.
-    ``row[col]`` moves a variable-order key of length N (any other is
+    ``row[col]`` moves a variable-order N-tuple key (any other key is
     absent) to block order with one ``itemgetter``; iteration moves each
     key back and applies the sign as it goes.  A nonzero form's first key
     is its characteristic monomial.  ``items()`` is a single pass.
@@ -313,10 +313,11 @@ class _FormRow(Mapping):
             self._to_block, self._to_var = itemgetter(*order), itemgetter(*position)
 
     def __getitem__(self, col):
+        # a key that is not an N-tuple is absent from either kind of row: the
+        # itemgetter would cut a longer key to N slots and fail on a shorter one
+        if not isinstance(col, tuple) or len(col) != self._nvars:
+            raise KeyError(col)
         if self._to_block is not None:
-            # the itemgetter would cut a longer key to N slots and fail on a shorter one
-            if len(col) != self._nvars:
-                raise KeyError(col)
             col = self._to_block(col)
         value = self._numerators[col]
         return value if self._sign > 0 else -value
@@ -338,8 +339,9 @@ class _FormRow(Mapping):
 
 class _RowKeys(KeysView):
     # isdisjoint probes the given columns in C, one cached-dict lookup each.
-    # The itemgetter fails on a column shorter than N and cuts a longer one to
-    # N slots, so a failure or a hit is checked again through the row's lookup.
+    # The probe fails on a column that is short, not indexable or unhashable,
+    # and can hit on a longer one (the itemgetter cuts it to N slots) or on a
+    # list, so a failure or a hit is checked again through the row's lookup.
     __slots__ = ()
 
     def isdisjoint(self, cols) -> bool:
@@ -348,7 +350,7 @@ class _RowKeys(KeysView):
         try:
             if row._numerators.keys().isdisjoint(cols if row._to_block is None else map(row._to_block, cols)):
                 return True
-        except IndexError:
+        except (IndexError, TypeError):
             pass
         return not any(map(row.__contains__, cols))
 
@@ -556,12 +558,17 @@ def characteristic_exponents(form: CvForm) -> tuple[int, ...]:
     After zero removal the staircase gives each variable its entry minus its
     stable rank, the type of the reduced form (``CvForm.type_of``).  No sort
     sign, variable block or row-block is built; raises where ``diagonal_rowblock`` does.
+    Zero removal runs only on a form with a zero entry: a zero-free form
+    is its own reduced form (``CvForm.remove_zeros``), as are all but the
+    identity among the N! forms of ``verify N chars``.
     """
-    sign, reduced = form.remove_zeros()
-    if reduced is None:
-        if sign == 0:
-            raise ValueError(f"{form} is the zero form, it has no row-blocks")
-        return (0,) * form.N
+    reduced = form
+    if 0 in form.entries:
+        sign, reduced = form.remove_zeros()
+        if reduced is None:
+            if sign == 0:
+                raise ValueError(f"{form} is the zero form, it has no row-blocks")
+            return (0,) * form.N
     exps = reduced.type_of()
     if min(exps) < 0:
         raise ValueError(f"{form} vanishes, the staircase pick is inadmissible")

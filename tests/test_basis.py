@@ -685,6 +685,16 @@ class TestStreamedCharacteristics:
         decoded = [decode(laplace.characteristic_exponents(f)) for f in _handed_forms(n, monkeypatch)]
         assert decoded == list(itertools.permutations(range(1, n + 1)))
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_zero_removal_meets_only_the_identity(self, n, monkeypatch):
+        # a permutation that falls gives a zero-free form, its own reduced
+        # form, so the kernel skips zero removal on all but one form
+        real, reduced = CvForm.remove_zeros, []
+        monkeypatch.setattr(CvForm, "remove_zeros", lambda form: reduced.append(form.entries) or real(form))
+        checks = {"forms": math.factorial(n), "distinct": True}
+        assert chars_suite(n) == {"checks": checks, "ok": True, "listing": [], "stderr": []}
+        assert reduced == [tuple(range(n - 1, -1, -1))]
+
     def test_a_pass_builds_no_tableau_and_no_basis(self, monkeypatch):
         def built(*args, **kwargs):
             raise AssertionError("built")

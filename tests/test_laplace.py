@@ -604,6 +604,20 @@ class TestFormRow:
             assert (1, 0, 2, 1, 0) not in row and row.get((1, 0), "d") == "d", f
             assert row.keys().isdisjoint([(1, 0), (1, 0, 2, 1, 0)]), f
 
+    def test_a_key_that_is_not_a_tuple_is_absent(self):
+        # a reordered row and rows read in place (the scalar and the zero form too) alike
+        for f in (CvForm((3, 3, 2, 2)), CvForm((1, 2, 2, 3)), CvForm((2, 0, 1)), CvForm((0, 0, 3, 3))):
+            row = _FormRow(f)
+            lead = next(iter(row), (0,) * f.N)
+            for key in (5, None, "abcd", list(lead), [[0]] * f.N):
+                assert key not in row and row.get(key, "d") == "d", (f, key)
+                with pytest.raises(KeyError):
+                    row[key]
+                assert row.keys().isdisjoint([key]), (f, key)
+            assert row.keys().isdisjoint([5, list(lead), (1, 0)]), f
+            if row:
+                assert lead in row and not row.keys().isdisjoint([5, list(lead), lead]), f
+
     def test_view_is_read_only_and_shares_the_cached_dict(self):
         f = CvForm((3, 3, 2, 2))
         row = _FormRow(f)
