@@ -111,7 +111,8 @@ def generate_basis(n: int, degree: int | None = None, reading_order=None) -> Bas
     # column of its box, and one getter takes the values in order
     get = _tuple_getter(order)
     for rib, rib_tableaux in zip(ribbons, tableaux):
-        columns = _ribbon_columns(rib, n)
+        # a ribbon's columns lie in 0..N-1 (``Ribbon``), so every form is trusted
+        columns = tuple(c for _, c in rib.boxes)
         for t in rib_tableaux:
             forms.append(BasisForm(CvForm.trusted(get(dict(zip(t.filling, columns)))), t))
     return Basis(n, degree, order, tuple(forms))
@@ -122,16 +123,6 @@ def _tuple_getter(keys):
     # returns the bare item, so that key is read by a lambda into a 1-tuple
     keys = tuple(keys)
     return itemgetter(*keys) if len(keys) > 1 else lambda mapping: tuple(mapping[k] for k in keys)
-
-
-def _ribbon_columns(rib, n: int) -> tuple[int, ...]:
-    # the box columns of a ribbon, checked to lie in 0..N-1; a filling only
-    # permutes them, so every form read from the ribbon has its entries in range
-    columns = tuple(c for _, c in rib.boxes)
-    for c in columns:
-        if not 0 <= c <= n - 1:
-            raise ValueError(f"column {c} outside 0..{n - 1} for {n} boxes")
-    return columns
 
 
 def _lowered_forms(form: CvForm, k: int) -> list[CvForm]:
@@ -156,7 +147,7 @@ def _power_sum_memo():
     def images(rep, k):
         form = CvForm.trusted(rep)
         row = _FormRow(form, expand)
-        derived = Polynomial.from_numerators(form.N, dict(row.items()), row.denom).symmetrized_derivative(k)
+        derived = Polynomial(form.N, dict(row.items()), row.denom).symmetrized_derivative(k)
         rows = [_FormRow(f, expand) for f in _lowered_forms(form, k)]
         lowered = sum_of(form.N, [(r, r.denom) for r in rows])
         return tuple(image.numerators()[0] if image else None for image in (derived, lowered))
@@ -448,7 +439,7 @@ def compare_bases(n: int, orders) -> dict:
 
 
 def _monomial_text(exps) -> str:
-    return Polynomial.monomial(len(exps), exps).canonical_text()
+    return Polynomial(len(exps), {exps: 1}, 1).canonical_text()
 
 
 def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
@@ -456,13 +447,16 @@ def _oracle_check(form: CvForm) -> tuple[bool, str | None]:
     values = (evaluate(form), naive_oracle(form), derivative_oracle(form))
     if values[0] == values[1] == values[2]:
         return bool(values[0]), None
-    # the first monomial at which some value differs from the first one
-    diffs = (values[0] - values[1], values[0] - values[2])
-    exps = min((d.first_monomial() for d in diffs if d), key=_term_key, default=None)
-    if exps is None:  # they differ only by stored zero coefficients, so they are equal
+    # the canonical-first monomial at which some value differs from the first
+    # one; a missing term is 0, so a stored zero numerator differs nowhere
+    terms = [v.terms for v in values]
+    first = terms[0]
+    differs = (e for e in set().union(*terms) if any(t.get(e, 0) != first.get(e, 0) for t in terms[1:]))
+    exps = min(differs, key=_term_key, default=None)
+    if exps is None:
         return bool(values[0]), None
     names = ("evaluate", "naive_oracle", "derivative_oracle")
-    coeffs = ", ".join(f"{name} {v.terms.get(exps, 0)}" for name, v in zip(names, values))
+    coeffs = ", ".join(f"{name} {t.get(exps, 0)}" for name, t in zip(names, terms))
     return bool(values[0]), f"witness: {form} first differs at {_monomial_text(exps)}: {coeffs}"
 
 
@@ -573,22 +567,22 @@ def chars_suite(n: int) -> dict:
 
     The suite runs through x = N - w, the variable of each position, with
     the fall word ``x_k < x_{k+1}``.  It names the ribbon, whose columns
-    were range-checked once and whose rows are the ``s_k``.  The form is
-    read as ``generate_basis`` reads it, value v in the column of its box,
-    in one C-level call with no ``SkewTableau`` built: the fall word is
-    the ribbon's key, so the filling falls at its column steps by
-    construction.  The kernel, called through this module's name, must
-    give variable ``x_k`` the exponent ``s_k``.  The check is one-sided:
-    at the first form that fails it, the suite builds the basis once and
-    ``characteristic_collision`` decides, naming the first colliding pair
-    in basis order.
+    lie in 0..N-1 as every ``Ribbon``'s do and whose rows are the
+    ``s_k``.  The form is read as ``generate_basis`` reads it, value v in
+    the column of its box, in one C-level call with no ``SkewTableau``
+    built: the fall word is the ribbon's key, so the filling falls at its
+    column steps by construction.  The kernel, called through this
+    module's name, must give variable ``x_k`` the exponent ``s_k``.  The
+    check is one-sided: at the first form that fails it, the suite builds
+    the basis once and ``characteristic_collision`` decides, naming the
+    first colliding pair in basis order.
     """
     # one box's one exponent is compared bare, as itemgetter(*x) returns it
     get = _tuple_getter(range(n))
     table = {}
     for rib in enumerate_ribbons(n):
         suffix = rib.class_entries()
-        table[rib.falls()] = _ribbon_columns(rib, n), suffix if n > 1 else suffix[0]
+        table[rib.falls()] = tuple(c for _, c in rib.boxes), suffix if n > 1 else suffix[0]
     kernel, trusted = characteristic_exponents, CvForm.trusted
     passed = {"checks": {"forms": factorial(n), "distinct": True}, "ok": True, "listing": [], "stderr": []}
     for x in permutations(range(n - 1, -1, -1)):

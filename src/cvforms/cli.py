@@ -421,6 +421,8 @@ def _flip_side(tab: SkewTableau) -> dict:
 def cmd_flip(args) -> dict:
     text = args.input
     if args.file is not None:
+        if text is not None:
+            raise ValueError("give a form or tableau JSON, or --file, not both")
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     if text is None:

@@ -214,7 +214,7 @@ def rowblock_value(rb: RowBlock) -> Polynomial:
                 exps[v - 1] = powers[s]
             sign *= permutation_sign(sigma)
         numerators[tuple(exps)] = sign
-    return Polynomial.from_numerators(nvars, numerators, math.prod(map(math.factorial, rb.entries())))
+    return Polynomial(nvars, numerators, math.prod(map(math.factorial, rb.entries())))
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +362,7 @@ def evaluate(form: CvForm) -> Polynomial:
     and wraps them over the row's D; no other work is done per term.
     """
     row = _FormRow(form)
-    return Polynomial.from_numerators(form.N, dict(row.items()), row.denom)
+    return Polynomial(form.N, dict(row.items()), row.denom)
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +423,7 @@ def naive_oracle(form: CvForm) -> Polynomial:
     denom = math.prod(math.factorial(e) for e in ent)
     top = minor(len(rows_of) - 1, 0)
     del minor  # minor's closure holds minor itself: a cycle that would keep the memo alive
-    return Polynomial.from_numerators(n, top, denom)
+    return Polynomial(n, top, denom)
 
 
 @lru_cache(maxsize=None)
@@ -525,7 +525,7 @@ def derivative_oracle(form: CvForm) -> Polynomial:
     else:
         walk(trie, 0, (), 1)
     del walk  # walk's closure holds walk itself: a cycle that only the collector would free
-    return Polynomial.from_numerators(n, out, denom)
+    return Polynomial(n, out, denom)
 
 
 def diagonal_rowblock(form: CvForm) -> RowBlock:

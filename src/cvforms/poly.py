@@ -2,15 +2,17 @@
 
 A polynomial in ``nvars`` variables (rendered t1, t2, ...) is stored as a
 mapping from exponent tuples to nonzero integer numerators over one
-positive common denominator.  The denominator is not reduced to lowest
-terms; equality and hashing compare values, not representations.
-``fractions.Fraction`` appears only at the edges: the public constructor
-takes Fraction-like coefficients, and ``terms``, ``canonical_text`` and
-``to_json_dict`` build reduced Fractions on demand.  All operations return
-new objects; instances are never mutated after construction, so they can
-be shared freely.  The package's other value classes, ``cvform.CvForm``
-and the ``cvform.Record`` subclasses, keep the same convention: none is
-frozen, and none is mutated after construction.
+positive common denominator, as the package's kernels compute them; its
+one constructor takes them unchecked.  The denominator is not reduced to
+lowest terms; equality compares values, not representations.  There is
+no arithmetic on polynomials: ``sum_of`` adds numerator maps and
+``symmetrized_derivative`` differentiates them.  ``fractions.Fraction``
+appears only at the edge: ``terms``, ``canonical_text`` and
+``to_json_dict`` build reduced Fractions on demand.  Instances are never
+mutated after construction, so they can be shared freely.  The package's
+other value classes, ``cvform.CvForm`` and the ``cvform.Record``
+subclasses, keep the same convention: none is frozen, and none is
+mutated after construction.
 
 The canonical term order is graded: total degree descending, ties broken
 lexicographically on the exponent tuple, descending, with t1 > t2 > ... > tN.
@@ -33,53 +35,27 @@ def _term_key(exps: Exponents) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial over the rationals.
 
+    ``Polynomial(nvars, numerators, denom)`` wraps integer numerators over
+    ``denom`` that the package computed itself.  Trusted: ``numerators``
+    maps ``nvars``-slot tuples of non-negative exponents to nonzero ints and
+    ``denom`` is a positive int; the dict is neither checked nor copied.
     The zero polynomial keeps its variable count so dimension checks stay
-    meaningful: ``Polynomial(4) != Polynomial(3)``.
+    meaningful: ``Polynomial(4, {}, 1) != Polynomial(3, {}, 1)``.
     """
 
     __slots__ = ("nvars", "_numerators", "_denom")
 
-    def __init__(self, nvars: int, terms: dict[Exponents, Fraction] | None = None):
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
-            if len(key) != nvars:
-                raise ValueError(f"exponent tuple {key} does not have {nvars} slots")
-            if any(e < 0 for e in key):
-                raise ValueError(f"negative exponent in {key}")
-            clean[key] = Fraction(coeff)
-        # a zero coefficient has denominator 1, so dropping it later leaves the lcm alone
-        denom = lcm(*(c.denominator for c in clean.values()))
+    def __init__(self, nvars: int, numerators: dict[Exponents, int], denom: int):
         self.nvars = nvars
-        self._numerators = {e: c.numerator * (denom // c.denominator) for e, c in clean.items() if c}
+        self._numerators = numerators
         self._denom = denom
 
-    @classmethod
-    def from_numerators(cls, nvars: int, numerators: dict[Exponents, int], denom: int) -> "Polynomial":
-        """Wrap integer numerators over ``denom`` that the package computed itself.
-
-        Trusted: ``numerators`` maps ``nvars``-slot tuples of non-negative
-        exponents to nonzero ints and ``denom`` is a positive int; the dict
-        is neither checked nor copied.  Outside input goes through ``__init__``.
-        """
-        poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly._numerators = numerators
-        poly._denom = denom
-        return poly
-
     def numerators(self) -> tuple[dict[Exponents, int], int]:
-        """``(numerators, denom)`` as ``from_numerators`` takes them.
+        """``(numerators, denom)`` as the constructor takes them.
 
         The dict is the polynomial's own, not a copy; callers must not mutate it.
         """
         return self._numerators, self._denom
-
-    @classmethod
-    def monomial(cls, nvars: int, exps: Exponents, coeff=1) -> "Polynomial":
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
 
     @property
     def terms(self) -> MappingProxyType:
@@ -100,24 +76,6 @@ class Polynomial:
         da, db = self._denom, other._denom
         return all(c * db == b[e] * da for e, c in a.items())
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.nvars != self.nvars:
-            raise ValueError(f"mixing {self.nvars}- and {other.nvars}-variable polynomials")
-        return sum_of(self.nvars, (self.numerators(), other.numerators()))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.from_numerators(self.nvars, {e: -c for e, c in self._numerators.items()}, self._denom)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
     def symmetrized_derivative(self, k: int) -> "Polynomial":
         """Apply the power-sum operator sum_i d^k/dt_i^k.
 
@@ -132,11 +90,7 @@ class Polynomial:
                 if e >= k:
                     key = exps[:i] + (e - k,) + exps[i + 1:]
                     acc[key] = acc.get(key, 0) + c * perm(e, k)
-        return Polynomial.from_numerators(self.nvars, {e: c for e, c in acc.items() if c}, self._denom)
-
-    def first_monomial(self) -> Exponents | None:
-        """Exponents of the first term in canonical order, None for zero."""
-        return min(self._numerators, key=_term_key, default=None)
+        return Polynomial(self.nvars, {e: c for e, c in acc.items() if c}, self._denom)
 
     def canonical_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms sorted by the canonical graded order."""
@@ -191,4 +145,4 @@ def sum_of(nvars: int, parts) -> Polynomial:
         scale = denom // d
         for e, c in numerators.items():
             acc[e] = get(e, 0) + c * scale
-    return Polynomial.from_numerators(nvars, {e: c for e, c in acc.items() if c}, denom)
+    return Polynomial(nvars, {e: c for e, c in acc.items() if c}, denom)

@@ -20,7 +20,13 @@ from .cvform import CvForm, Record, valid_class
 
 
 class Ribbon(Record):
-    """A connected skew shape with no 2x2 square, as a box walk."""
+    """A connected skew shape with no 2x2 square, as a box walk.
+
+    The walk ends at (0, N-1) and each step goes one right or one up, so
+    box i has row and column in 0..N-1-i and i..N-1: every accepted walk
+    lies in 0..N-1.  The basis layer reads its forms off the columns with
+    ``CvForm.trusted`` and relies on this.
+    """
 
     _fields = ("boxes",)
     __slots__ = ("boxes", "_falls")

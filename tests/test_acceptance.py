@@ -14,7 +14,6 @@ import time
 from cvforms.basis import generate_basis, q_factorial, verify_harmonicity, verify_independence
 from cvforms.cvform import CvForm
 from cvforms.laplace import derivative_oracle, evaluate, expand_rowblocks, naive_oracle
-from cvforms.poly import Polynomial
 from cvforms.ribbon import (
     backward_order,
     class_to_ribbon,
@@ -29,6 +28,7 @@ from cvforms.ribbon import (
     tableau_to_type,
     to_skew_partition,
 )
+from fraction_poly import from_fractions
 from skew_count import count_syt
 
 
@@ -119,10 +119,12 @@ def test_criterion_05_syzygies():
     t0 = time.perf_counter()
 
     def sum_of(entry_lists):
-        acc = Polynomial(4)
+        # summed in Fractions, independent of the package's own sum
+        acc = {}
         for e in entry_lists:
-            acc = acc + evaluate(CvForm(e))
-        return acc
+            for exps, c in evaluate(CvForm(e)).terms.items():
+                acc[exps] = acc.get(exps, 0) + c
+        return from_fractions(4, acc)
 
     nabla_top = sum_of([(2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3), (3, 3, 3, 2)])
     four_term = sum_of([(1, 3, 3, 3), (3, 1, 3, 3), (3, 3, 1, 3), (3, 3, 3, 1)])

@@ -1,7 +1,6 @@
 """Basis generation, harmonicity, and exact independence."""
 
 import collections
-import copy
 import itertools
 import math
 import pickle
@@ -56,6 +55,7 @@ from cvforms.ribbon import (
 )
 
 from descent_monomials import decode, descent_monomial, major_index
+from fraction_poly import from_fractions
 
 
 class TestQFactorial:
@@ -204,6 +204,11 @@ class TestDescentWordFiling:
         assert len(generate_basis(12, 2).forms) == q_factorial(12)[2]
 
 
+def _first_monomial(value) -> tuple | None:
+    # exponents of the canonical-first term, None for zero
+    return value.canonical_terms()[0][0] if value else None
+
+
 def _per_form_images(form: CvForm, kmax: int) -> list:
     """Route one as it ran per form: ``p_k(d)`` applied to the form's own value.
 
@@ -212,7 +217,7 @@ def _per_form_images(form: CvForm, kmax: int) -> list:
     of that image into the form's variables in ``verify_harmonicity``.
     """
     value = evaluate(form)
-    return [value.symmetrized_derivative(k).first_monomial() for k in range(1, kmax + 1)]
+    return [_first_monomial(value.symmetrized_derivative(k)) for k in range(1, kmax + 1)]
 
 
 def _per_form_sums(form: CvForm, kmax: int) -> list:
@@ -225,7 +230,7 @@ def _per_form_sums(form: CvForm, kmax: int) -> list:
     firsts = []
     for k in range(1, kmax + 1):
         rows = [_FormRow(f) for f in basis_module._lowered_forms(form, k)]
-        firsts.append(sum_of(form.N, [(row, row.denom) for row in rows]).first_monomial())
+        firsts.append(_first_monomial(sum_of(form.N, [(row, row.denom) for row in rows])))
     return firsts
 
 
@@ -336,11 +341,11 @@ class TestHarmonicity:
                     for exps, c in value._numerators.items()
                     if exps[i]
                 }
-                derivative = Polynomial.from_numerators(n, partial, value._denom)
+                derivative = Polynomial(n, partial, value._denom)
                 if e:
                     assert derivative == evaluate(CvForm(entries[:i] + (e - 1,) + entries[i + 1:])), (entries, i)
                 else:
-                    assert derivative == Polynomial(n) and not partial, (entries, i)
+                    assert derivative == Polynomial(n, {}, 1) and not partial, (entries, i)
                     zeros += 1
         # each of the N slots is 0 in N^(N-1) forms
         assert zeros == n ** n
@@ -775,19 +780,13 @@ class TestStreamedCharacteristics:
         assert generate_basis(2) == Basis(2, None, (2, 1), forms)
 
     @pytest.mark.parametrize("column", [-1, 3])
-    def test_ribbon_column_out_of_range_is_caught(self, column, monkeypatch):
-        # the range is checked once per ribbon, not per form: a ribbon whose
-        # column leaves 0..N-1 must stop both readers before any form is built;
-        # the stub is the one-row ribbon with its first box moved, unvalidated
-        ribbons = list(enumerate_ribbons(3))
-        stub = copy.copy(ribbons[-1])
-        object.__setattr__(stub, "boxes", ((0, column), (0, 1), (0, 2)))
-        ribbons[-1] = stub
-        monkeypatch.setattr(basis_module, "enumerate_ribbons", lambda n: iter(ribbons))
-        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
-            generate_basis(3)
-        with pytest.raises(ValueError, match=rf"^column {column} outside 0\.\.2 for 3 boxes$"):
-            chars_suite(3)
+    def test_ribbon_column_out_of_range_is_caught(self, column):
+        # both readers wrap a ribbon's columns in CvForm.trusted unchecked: a
+        # column outside 0..N-1 is caught when the Ribbon is built, as an
+        # illegal step, so no reader ever sees it (the general case is
+        # test_ribbon.py's test_accepted_walks_stay_in_range)
+        with pytest.raises(ValueError, match=rf"^illegal step \(0, {column}\) -> \(0, 1\)$"):
+            Ribbon(((0, column), (0, 1), (0, 2)))
 
 
 def _assert_accepted(forms) -> int:
@@ -977,6 +976,36 @@ class TestSuites:
         assert report["checks"]["mismatches"] == 25 and not report["ok"]
         assert len(report["listing"]) == 10 and len(report["stderr"]) == 11
         assert report["stderr"][-1] == "nonzero forms: 25 of 25"
+
+    @staticmethod
+    def _witness(monkeypatch, naive=None, derivative=None) -> str | None:
+        """``_oracle_check``'s witness line for [1 2 2] when the named oracles
+        return its value with the given ``{exponents: Fraction}`` terms set.
+
+        The value is t1*t2 - t1*t3 - 1/2*t2^2 + 1/2*t3^2."""
+        def edited(edits):
+            return lambda form: from_fractions(3, {**evaluate(form).terms, **edits})
+
+        for name, edits in (("naive_oracle", naive), ("derivative_oracle", derivative)):
+            if edits is not None:
+                monkeypatch.setattr(basis_module, name, edited(edits))
+        return basis_module._oracle_check(CvForm((1, 2, 2)))[1]
+
+    def test_witness_when_only_the_derivative_oracle_differs(self, monkeypatch):
+        # t2^2 is third in canonical order, but the only monomial that differs
+        witness = self._witness(monkeypatch, derivative={(0, 2, 0): Fraction(1, 2)})
+        assert witness == "witness: [1 2 2] first differs at t2^2: evaluate -1/2, naive_oracle -1/2, derivative_oracle 1/2"
+
+    def test_witness_at_a_monomial_absent_from_evaluate(self, monkeypatch):
+        witness = self._witness(monkeypatch, naive={(0, 1, 1): Fraction(3)})
+        assert witness == "witness: [1 2 2] first differs at t2*t3: evaluate 0, naive_oracle 3, derivative_oracle 0"
+
+    def test_witness_names_the_canonical_first_of_two_differences(self, monkeypatch):
+        # t1*t3 comes before t3^2 in canonical order, whichever oracle holds it
+        witness = self._witness(monkeypatch, naive={(0, 0, 2): Fraction(0)}, derivative={(1, 0, 1): Fraction(5, 3)})
+        assert witness == "witness: [1 2 2] first differs at t1*t3: evaluate -1, naive_oracle -1, derivative_oracle 5/3"
+        witness = self._witness(monkeypatch, naive={(1, 0, 1): Fraction(0)}, derivative={(0, 0, 2): Fraction(7)})
+        assert witness == "witness: [1 2 2] first differs at t1*t3: evaluate -1, naive_oracle 0, derivative_oracle -1"
 
     def test_oracle_suite_memory_does_not_grow_with_samples(self):
         # kept forms and results took about 210 bytes a sample, 4 MB over these runs;

@@ -481,7 +481,11 @@ class TestVerify:
 
         def wrong(form):
             value = real(form)
-            return value + value if form.entries == (1, 2, 2) else value
+            if form.entries != (1, 2, 2):
+                return value
+            # twice the value, built directly
+            numerators, denom = value.numerators()
+            return Polynomial(form.N, {e: 2 * c for e, c in numerators.items()}, denom)
 
         monkeypatch.setattr(basis, "naive_oracle", wrong)
         code, out, err = run(["verify", "3", "oracle"], capsys)
@@ -508,7 +512,7 @@ class TestVerify:
             value = real(form)
             numerators = dict(value._numerators)
             numerators[(0,) * form.N] = numerators.get((0,) * form.N, 0)
-            return Polynomial.from_numerators(form.N, numerators, value._denom)
+            return Polynomial(form.N, numerators, value._denom)
 
         monkeypatch.setattr(basis, "derivative_oracle", padded)
         code, out, err = run(["verify", "3", "oracle"], capsys)
@@ -788,6 +792,18 @@ class TestFlipCommand:
         code, _, err = run(["flip"], capsys)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_form_and_file_together_exit_two_before_any_read(self, exists, capsys, tmp_path, monkeypatch):
+        # flip used to read the file, ignore the form and exit 0
+        path = tmp_path / "tableau.json"
+        if exists:
+            path.write_text('{"boxes": [[0, 0], [0, 1]], "filling": [1, 2]}')
+        opened = []
+        monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a))
+        expected = (2, "", "error: give a form or tableau JSON, or --file, not both\n")
+        assert run(["flip", "[0 1 2 3]", "--file", str(path)], capsys) == expected
+        assert opened == []
 
     def test_non_standard_form(self, capsys):
         code, _, err = run(["flip", "[2 2 3 3]"], capsys)

@@ -5,6 +5,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvforms.basis import q_factorial
 from cvforms.cvform import CvForm, valid_class
@@ -105,6 +107,28 @@ class TestRibbonShape:
     def test_rejects_no_boxes_before_iterating(self):
         with pytest.raises(ValueError, match="need at least one box"):
             enumerate_ribbons(0)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_accepted_walks_stay_in_range(self, data):
+        # the basis layer wraps a ribbon's columns in CvForm.trusted, so any
+        # walk Ribbon accepts must lie in 0..N-1; each walk is drawn back from
+        # a last box near (0, N-1) by legal steps, one of them maybe replaced
+        n = data.draw(st.integers(1, 8))
+        near = st.sampled_from([0] * 6 + [-1, 1])
+        steps = data.draw(st.lists(st.sampled_from([(0, 1), (-1, 0)]), min_size=n - 1, max_size=n - 1))
+        if steps and data.draw(st.booleans()):
+            illegal = [(1, 0), (0, -1), (1, 1), (-1, -1), (-1, 1), (0, 2), (-2, 0), (0, 0)]
+            steps[data.draw(st.integers(0, n - 2))] = data.draw(st.sampled_from(illegal))
+        boxes = [(data.draw(near), n - 1 + data.draw(near))]
+        for dr, dc in reversed(steps):
+            r, c = boxes[0]
+            boxes.insert(0, (r - dr, c - dc))
+        try:
+            rib = Ribbon(tuple(boxes))
+        except ValueError:
+            return
+        assert all(0 <= r <= n - 1 and 0 <= c <= n - 1 for r, c in rib.boxes), boxes
 
 
 class TestSkewPartition:
