@@ -312,7 +312,10 @@ def cmd_count(args) -> dict:
     # generating function of ribbon indices and heights
     rows = ribbon_generating_function(n)
     if args.at is not None:
-        at = int(args.at[2:] if args.at.startswith("q^") else args.at)
+        try:
+            at = int(args.at[2:] if args.at.startswith("q^") else args.at)
+        except ValueError:
+            raise ValueError(f"--at takes q^d or d for an integer degree d, got {args.at!r}") from None
         degrees = range(at, at + 1)
     else:
         # the last row ends at the top index, and every index up to it has ribbons

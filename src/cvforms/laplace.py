@@ -486,25 +486,45 @@ def derivative_oracle(form: CvForm) -> Polynomial:
     are applied in one depth-first walk of the Vandermonde's exponent
     trie: t_i^e becomes ``e!/(e-k)!`` times t_i^(e-k), and a branch is
     dropped at the first variable whose exponent is below its order k.
-    The walk recurses down to depth N-2 and closes the last two variables
-    there in one nested loop, so a parent of leaves costs no call.  The
-    walk drops its reference to itself when it is done, so it leaves no
-    reference cycle for the collector to find.
+    Every monomial's exponents are a permutation of 0..N-1, so a child's
+    level keys, descending, are exactly the exponents still free for the
+    variables after it.  A child is entered only if its largest key is at
+    least the largest order still to apply and its second largest at
+    least the second largest order; any other branch holds no surviving
+    term.  Distinct terms stay distinct after the derivatives, so nothing
+    cancels and the result is the same, key order included.  The walk
+    recurses down to depth N-2 and closes the last two variables there in
+    one nested loop, so a parent of leaves costs no call.  The walk drops
+    its reference to itself when it is done, so it leaves no reference
+    cycle for the collector to find.
     """
     n = form.N
     denom, trie = _integer_vandermonde(n)
     orders = [n - 1 - e for e in form.entries]
     last = orders[-1]
+    # the two largest orders after each depth, in one backwards pass
+    firsts, seconds = [-1] * n, [-1] * n
+    first = second = -1
+    for d in range(n - 1, 0, -1):
+        k = orders[d]
+        if k > first:
+            first, second = k, first
+        elif k > second:
+            second = k
+        firsts[d - 1], seconds[d - 1] = first, second
     out: dict[tuple[int, ...], int] = {}
     perm = math.perm
 
     def walk(level: tuple, depth: int, head: tuple[int, ...], coeff: int) -> None:
         k = orders[depth]
         if depth < n - 2:
+            first, second = firsts[depth], seconds[depth]
             for e, child in level:
                 if e < k:
                     break
-                walk(child, depth + 1, head + (e - k,), coeff * perm(e, k))
+                # a child's keys are the exponents still free, descending
+                if child[0][0] >= first and child[1][0] >= second:
+                    walk(child, depth + 1, head + (e - k,), coeff * perm(e, k))
             return
         for e, child in level:
             if e < k:

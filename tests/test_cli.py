@@ -282,6 +282,17 @@ class TestCount:
     def test_at_on_gf_reads_one_degree(self, capsys):
         assert run(["count", "4", "gf", "--at", "q^2"], capsys) == (0, "t\n", "")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("at", ["q^x", "x", "q^1.5", "q^"])
+    def test_non_integer_at_names_the_flag(self, at, fmt, capsys):
+        code, out, err = run(["count", "5", "gf", "--at", at, "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --at takes q^d or d for an integer degree d, got {at!r}\n"
+
+    @pytest.mark.parametrize("at", ["q^100", "q^-1", "-3"])
+    def test_at_outside_the_degrees_reads_zero(self, at, capsys):
+        assert run(["count", "5", "gf", "--at", at], capsys) == (0, "0\n", "")
+
 
 class TestVerify:
     def test_oracle_small(self, capsys):
